@@ -22,21 +22,23 @@ pub struct SchemaHeader {
     pub git_commit: String,
     /// Hardware threads available to the process.
     pub threads: usize,
-    /// The `-C target-cpu=…` value from `RUSTFLAGS` (`default` when unset).
+    /// The `-C target-cpu=…` value among the rustflags this crate was
+    /// compiled with (`default` when none sets it).
     pub target_cpu: String,
 }
 
 impl SchemaHeader {
     /// Captures the current environment: git commit via `git rev-parse`,
     /// thread count via `std::thread::available_parallelism`, target CPU
-    /// parsed out of `RUSTFLAGS`. Never fails — unknown values degrade to
-    /// placeholder strings so output emission cannot be blocked.
+    /// parsed out of the rustflags the build script recorded at compile
+    /// time. Never fails — unknown values degrade to placeholder strings so
+    /// output emission cannot be blocked.
     pub fn capture() -> Self {
         Self {
             version: SCHEMA_VERSION,
             git_commit: git_short_commit().unwrap_or_else(|| "unknown".to_string()),
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            target_cpu: rustflags_target_cpu(&std::env::var("RUSTFLAGS").unwrap_or_default()),
+            target_cpu: rustflags_target_cpu(env!("PUF_BENCH_RUSTFLAGS")),
         }
     }
 
@@ -95,10 +97,14 @@ fn git_short_commit() -> Option<String> {
     }
 }
 
-/// Extracts the `target-cpu` value from a `RUSTFLAGS` string, accepting
-/// both `-Ctarget-cpu=x` and `-C target-cpu=x` spellings.
+/// Extracts the `target-cpu` value from a rustflags string, accepting
+/// both `-Ctarget-cpu=x` and `-C target-cpu=x` spellings, separated by
+/// whitespace (`RUSTFLAGS`) or `\x1f` (`CARGO_ENCODED_RUSTFLAGS`).
 fn rustflags_target_cpu(rustflags: &str) -> String {
-    let mut tokens = rustflags.split_whitespace().peekable();
+    let mut tokens = rustflags
+        .split(|c: char| c.is_whitespace() || c == '\x1f')
+        .filter(|t| !t.is_empty())
+        .peekable();
     while let Some(tok) = tokens.next() {
         let candidate = if tok == "-C" {
             tokens.peek().copied().unwrap_or_default()
@@ -154,6 +160,17 @@ mod tests {
         assert_eq!(rustflags_target_cpu(""), "default");
         assert_eq!(rustflags_target_cpu("-Copt-level=3"), "default");
         assert_eq!(rustflags_target_cpu("-Ctarget-cpu="), "default");
+    }
+
+    #[test]
+    fn rustflags_parsing_handles_the_encoded_form() {
+        assert_eq!(rustflags_target_cpu("-C\x1ftarget-cpu=native"), "native");
+        assert_eq!(
+            rustflags_target_cpu("-Copt-level=3\x1f-Ctarget-cpu=znver4\x1f-Dwarnings"),
+            "znver4"
+        );
+        assert_eq!(rustflags_target_cpu("-C\x1fopt-level=3"), "default");
+        assert_eq!(rustflags_target_cpu("\x1f\x1f"), "default");
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! - **Compacted snapshots** — every [`DurableLog::snapshot_every`] events
 //!   the materialized [`DurableState`] is re-encoded into a single
 //!   magic/version/CRC-framed snapshot and the WAL is truncated, bounding
-//!   replay time.
+//!   replay time. Compaction is incremental: the record segments of chips
+//!   not enrolled or re-enrolled since the previous snapshot are copied
+//!   from it byte for byte, and only the changed records are re-encoded.
 //! - **Salvaging recovery** — [`recover`] replays snapshot + WAL back into
 //!   a [`DurableState`] (and from there a bit-identical
 //!   [`AuthService`] via [`DurableState::restore_service`]). Recovery
@@ -48,7 +50,7 @@ use crate::service::{AuthService, ChallengeUniverse, ServiceConfig};
 use crate::session::{Channel, ChipSessionState, SessionManager, SessionPolicy};
 use crate::storage::{self, crc32, DecodeError};
 use crate::ProtocolError;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"XSNP";
@@ -228,6 +230,55 @@ fn get_record(r: &mut Reader<'_>) -> Result<EnrolledChip, DecodeError> {
     })
 }
 
+/// Where one snapshot record segment (`u32 len | storage-record-db`) sits
+/// in the snapshot's bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Segment {
+    chip_id: u32,
+    at: usize,
+    len: usize,
+}
+
+/// A snapshot the encoder may copy unchanged record segments from: its
+/// bytes, their segment index (strictly ascending by chip id) and the chips
+/// whose segments in it are stale because they were enrolled or
+/// re-enrolled since it was encoded.
+struct Previous<'a> {
+    bytes: &'a [u8],
+    index: &'a [Segment],
+    dirty: &'a BTreeSet<u32>,
+    cursor: usize,
+}
+
+impl<'a> Previous<'a> {
+    fn new(bytes: &'a [u8], index: &'a [Segment], dirty: &'a BTreeSet<u32>) -> Self {
+        Self {
+            bytes,
+            index,
+            dirty,
+            cursor: 0,
+        }
+    }
+
+    /// The clean segment of `chip_id`, if the previous snapshot holds one.
+    /// Calls must come in ascending chip-id order: the cursor only moves
+    /// forward, so a whole snapshot's lookups cost one walk of the index.
+    fn clean_segment(&mut self, chip_id: u32) -> Option<&'a [u8]> {
+        while self
+            .index
+            .get(self.cursor)
+            .is_some_and(|seg| seg.chip_id < chip_id)
+        {
+            self.cursor += 1;
+        }
+        let seg = self.index.get(self.cursor)?;
+        if seg.chip_id != chip_id || self.dirty.contains(&chip_id) {
+            return None;
+        }
+        self.bytes.get(seg.at..seg.at.checked_add(seg.len)?)
+    }
+}
+
 fn put_event(out: &mut Vec<u8>, event: &DurableEvent) {
     out.push(event.tag());
     match event {
@@ -390,13 +441,41 @@ impl DurableState {
     /// `last_seq` as the newest WAL sequence number the snapshot covers.
     /// Byte-deterministic: equal states encode to equal bytes.
     pub fn encode_snapshot(&self, last_seq: u64) -> Vec<u8> {
-        let mut out = Vec::new();
+        self.encode_indexed(last_seq, None).0
+    }
+
+    /// The one snapshot encoder, also returning the index of the record
+    /// segments it wrote. With `prev`, a record whose clean segment the
+    /// previous snapshot holds is copied from it instead of re-encoded:
+    /// the record codec is deterministic and a record only changes through
+    /// `Enroll`/`Reenroll` (which mark it dirty), so the copy is the bytes
+    /// a re-encode would write.
+    fn encode_indexed(
+        &self,
+        last_seq: u64,
+        mut prev: Option<Previous<'_>>,
+    ) -> (Vec<u8>, Vec<Segment>) {
+        let mut out = Vec::with_capacity(prev.as_ref().map_or(0, |p| p.bytes.len()));
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&last_seq.to_le_bytes());
         out.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
-        for record in self.records.values() {
-            put_record(&mut out, record);
+        let mut index = Vec::with_capacity(self.records.len());
+        let mut reencoded = 0u64;
+        for (&chip_id, record) in &self.records {
+            let at = out.len();
+            match prev.as_mut().and_then(|p| p.clean_segment(chip_id)) {
+                Some(segment) => out.extend_from_slice(segment),
+                None => {
+                    put_record(&mut out, record);
+                    reencoded += 1;
+                }
+            }
+            index.push(Segment {
+                chip_id,
+                at,
+                len: out.len() - at,
+            });
         }
         out.extend_from_slice(&(self.states.len() as u32).to_le_bytes());
         for (chip_id, state) in &self.states {
@@ -413,8 +492,9 @@ impl DurableState {
         }
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
+        puf_telemetry::counter!("protocol.durable.records_reencoded").add(reencoded);
         puf_telemetry::gauge!("protocol.durable.snapshot_bytes").set(out.len() as f64);
-        out
+        (out, index)
     }
 
     /// Decodes a snapshot, returning the state and its covered `last_seq`.
@@ -424,6 +504,14 @@ impl DurableState {
     /// Any [`DecodeError`]; the CRC is checked before any structure is
     /// trusted.
     pub fn decode_snapshot(bytes: &[u8]) -> Result<(Self, u64), DecodeError> {
+        Self::decode_indexed(bytes).map(|(state, last_seq, _)| (state, last_seq))
+    }
+
+    /// [`Self::decode_snapshot`], also returning where each record segment
+    /// sits in `bytes`. The index is left empty when the record chip ids
+    /// are not strictly ascending (the encoder never writes that), so a
+    /// copy from it can only ever reproduce what the encoder would write.
+    fn decode_indexed(bytes: &[u8]) -> Result<(Self, u64, Vec<Segment>), DecodeError> {
         if bytes.len() < 4 {
             return Err(DecodeError::Truncated {
                 while_reading: "snapshot checksum trailer",
@@ -447,9 +535,19 @@ impl DurableState {
         let last_seq = r.u64("snapshot last_seq")?;
         let mut state = Self::new();
         let n_records = r.u32("snapshot record count")? as usize;
+        let mut index = Vec::new();
         for _ in 0..n_records {
+            let at = r.at;
             let record = get_record(&mut r)?;
+            index.push(Segment {
+                chip_id: record.chip_id,
+                at,
+                len: r.at - at,
+            });
             state.records.insert(record.chip_id, record);
+        }
+        if index.windows(2).any(|w| w[0].chip_id >= w[1].chip_id) {
+            index.clear();
         }
         let n_states = r.u32("snapshot state count")? as usize;
         // Over-long guard: each state entry is a fixed 26 bytes.
@@ -494,7 +592,7 @@ impl DurableState {
                 extra: r.remaining(),
             });
         }
-        Ok((state, last_seq))
+        Ok((state, last_seq, index))
     }
 
     /// Rebuilds a one-shot [`Server`] from the durable records.
@@ -561,6 +659,11 @@ impl DurableState {
 pub struct DurableLog {
     state: DurableState,
     snapshot: Vec<u8>,
+    /// Where each record segment sits in `snapshot`, ascending by chip id.
+    index: Vec<Segment>,
+    /// Chips enrolled or re-enrolled since `snapshot` was encoded: their
+    /// segments in it (if any) are stale.
+    dirty: BTreeSet<u32>,
     wal: Vec<u8>,
     next_seq: u64,
     wal_events: u64,
@@ -576,6 +679,8 @@ impl DurableLog {
         Self {
             state,
             snapshot,
+            index: Vec::new(),
+            dirty: BTreeSet::new(),
             wal: Vec::new(),
             next_seq: 1,
             wal_events: 0,
@@ -626,15 +731,21 @@ impl DurableLog {
     pub fn append(&mut self, event: &DurableEvent) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let mut payload = Vec::with_capacity(32);
-        payload.extend_from_slice(&seq.to_le_bytes());
-        put_event(&mut payload, event);
+        // The payload is written in place after a zeroed length/CRC slot,
+        // which is filled once the payload's extent is known.
+        let frame = self.wal.len();
         self.wal.extend_from_slice(WAL_MAGIC);
-        self.wal
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.wal.extend_from_slice(&crc32(&payload).to_le_bytes());
-        self.wal.extend_from_slice(&payload);
+        self.wal.extend_from_slice(&[0; FRAME_HEADER - 4]);
+        self.wal.extend_from_slice(&seq.to_le_bytes());
+        put_event(&mut self.wal, event);
+        let payload = &self.wal[frame + FRAME_HEADER..];
+        let (len, crc) = (payload.len() as u32, crc32(payload));
+        self.wal[frame + 4..frame + 8].copy_from_slice(&len.to_le_bytes());
+        self.wal[frame + 8..frame + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
         self.state.apply(event);
+        if let DurableEvent::Enroll(record) | DurableEvent::Reenroll(record) = event {
+            self.dirty.insert(record.chip_id);
+        }
         self.wal_events += 1;
         puf_telemetry::counter!("protocol.durable.appends").inc();
         puf_telemetry::gauge!("protocol.durable.wal_bytes").set(self.wal.len() as f64);
@@ -644,8 +755,18 @@ impl DurableLog {
     }
 
     /// Re-encodes the state into a fresh snapshot and truncates the WAL.
+    /// Only the records enrolled or re-enrolled since the last compaction
+    /// are encoded; every other record segment is copied from the previous
+    /// snapshot, so the bytes equal [`DurableState::encode_snapshot`]'s.
     pub fn compact(&mut self) {
-        self.snapshot = self.state.encode_snapshot(self.next_seq.saturating_sub(1));
+        let _trace = puf_telemetry::trace_span!("protocol.durable.compact");
+        let prev = Previous::new(&self.snapshot, &self.index, &self.dirty);
+        let (snapshot, index) = self
+            .state
+            .encode_indexed(self.next_seq.saturating_sub(1), Some(prev));
+        self.snapshot = snapshot;
+        self.index = index;
+        self.dirty.clear();
         self.wal.clear();
         self.wal_events = 0;
         puf_telemetry::counter!("protocol.durable.compactions").inc();
@@ -695,14 +816,19 @@ impl RecoveryReport {
 ///   skipped and counted, not re-applied.
 ///
 /// The returned log has compacted the salvage into a fresh snapshot, so a
-/// subsequent crash replays from here.
+/// subsequent crash replays from here. That snapshot copies the record
+/// segments of chips the WAL did not enroll or re-enroll from `snapshot`,
+/// and the log keeps their index, so its next compaction is incremental
+/// too.
 pub fn recover(snapshot: &[u8], wal: &[u8]) -> (DurableLog, RecoveryReport) {
+    let _trace = puf_telemetry::trace_span!("protocol.durable.recover");
     puf_telemetry::counter!("protocol.durable.recoveries").inc();
-    let (mut state, mut last_seq, snapshot_recovered, snapshot_error) =
-        match DurableState::decode_snapshot(snapshot) {
-            Ok((state, last_seq)) => (state, last_seq, true, None),
-            Err(e) => (DurableState::new(), 0, false, Some(e)),
+    let (mut state, mut last_seq, index, snapshot_recovered, snapshot_error) =
+        match DurableState::decode_indexed(snapshot) {
+            Ok((state, last_seq, index)) => (state, last_seq, index, true, None),
+            Err(e) => (DurableState::new(), 0, Vec::new(), false, Some(e)),
         };
+    let mut dirty = BTreeSet::new();
 
     let mut at = 0usize;
     let mut events_applied = 0u64;
@@ -754,6 +880,9 @@ pub fn recover(snapshot: &[u8], wal: &[u8]) -> (DurableLog, RecoveryReport) {
             duplicates_skipped += 1;
         } else {
             state.apply(&event);
+            if let DurableEvent::Enroll(record) | DurableEvent::Reenroll(record) = &event {
+                dirty.insert(record.chip_id);
+            }
             last_seq = seq;
             events_applied += 1;
         }
@@ -773,10 +902,13 @@ pub fn recover(snapshot: &[u8], wal: &[u8]) -> (DurableLog, RecoveryReport) {
     puf_telemetry::counter!("protocol.durable.duplicates_skipped").add(duplicates_skipped);
     puf_telemetry::counter!("protocol.durable.bytes_dropped").add(report.wal_bytes_dropped as u64);
 
-    let snapshot = state.encode_snapshot(last_seq);
+    let (fresh, index) =
+        state.encode_indexed(last_seq, Some(Previous::new(snapshot, &index, &dirty)));
     let log = DurableLog {
         state,
-        snapshot,
+        snapshot: fresh,
+        index,
+        dirty: BTreeSet::new(),
         wal: Vec::new(),
         next_seq: last_seq + 1,
         wal_events: 0,
@@ -1037,6 +1169,90 @@ mod tests {
     }
 
     #[test]
+    fn compaction_copies_only_clean_segments() {
+        let events = sample_events(95);
+        let mut log = DurableLog::new(u64::MAX);
+        for e in &events {
+            log.append(e);
+        }
+        assert_eq!(log.dirty, BTreeSet::from([1, 2]));
+        log.compact();
+        assert!(log.dirty.is_empty());
+        assert_eq!(
+            log.index.iter().map(|s| s.chip_id).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
+        // Every indexed segment is the record's own encoding.
+        let clean = BTreeSet::new();
+        let mut prev = Previous::new(&log.snapshot, &log.index, &clean);
+        for record in log.state().records() {
+            let mut expected = Vec::new();
+            put_record(&mut expected, record);
+            assert_eq!(prev.clean_segment(record.chip_id), Some(&expected[..]));
+        }
+        // A dirty chip's stale segment is never handed out, nor is one the
+        // snapshot does not hold.
+        let dirty = BTreeSet::from([2]);
+        let mut prev = Previous::new(&log.snapshot, &log.index, &dirty);
+        assert!(prev.clean_segment(0).is_none());
+        assert!(prev.clean_segment(1).is_some());
+        assert!(prev.clean_segment(2).is_none());
+        assert!(prev.clean_segment(3).is_none());
+        // A Reenroll of a chip that was never enrolled marks it dirty too.
+        log.append(&DurableEvent::Reenroll(sample_record(96, 7)));
+        assert_eq!(log.dirty, BTreeSet::from([7]));
+    }
+
+    #[test]
+    fn recovery_carries_the_segment_index() {
+        let events = sample_events(97);
+        let mut log = DurableLog::new(4);
+        for e in &events {
+            log.append(e);
+        }
+        let (recovered, report) = recover(log.snapshot_bytes(), log.wal_bytes());
+        assert!(report.is_clean());
+        assert_eq!(recovered.index.len(), recovered.state().len());
+        assert!(recovered.dirty.is_empty());
+        // A rejected snapshot leaves no index to copy from.
+        let (salvaged, report) = recover(&log.snapshot_bytes()[1..], log.wal_bytes());
+        assert!(!report.snapshot_recovered);
+        assert_eq!(
+            salvaged.snapshot_bytes(),
+            &salvaged.state().encode_snapshot(salvaged.next_seq() - 1)[..]
+        );
+    }
+
+    #[test]
+    fn out_of_order_snapshot_records_are_not_indexed() {
+        let mut log = DurableLog::new(u64::MAX);
+        for e in &sample_events(98)[..2] {
+            log.append(e);
+        }
+        log.compact();
+        // Swap the two record segments and re-seal: the CRC holds and the
+        // decoder accepts it, but the encoder would never write it, so its
+        // segments must not be copied.
+        let bytes = log.snapshot_bytes();
+        let (_, _, index) = DurableState::decode_indexed(bytes).unwrap();
+        let [a, b] = index[..] else {
+            panic!("expected two segments, got {index:?}");
+        };
+        let mut swapped = bytes[..a.at].to_vec();
+        swapped.extend_from_slice(&bytes[b.at..b.at + b.len]);
+        swapped.extend_from_slice(&bytes[a.at..a.at + a.len]);
+        swapped.extend_from_slice(&bytes[b.at + b.len..bytes.len() - 4]);
+        let crc = crc32(&swapped);
+        swapped.extend_from_slice(&crc.to_le_bytes());
+        let (state, _, index) = DurableState::decode_indexed(&swapped).unwrap();
+        assert_eq!(&state, log.state());
+        assert!(index.is_empty());
+        let (recovered, report) = recover(&swapped, &[]);
+        assert!(report.is_clean());
+        assert_eq!(recovered.snapshot_bytes(), log.snapshot_bytes());
+    }
+
+    #[test]
     fn restore_server_preserves_records() {
         let events = sample_events(90);
         let state = replay(&events);
@@ -1048,7 +1264,136 @@ mod tests {
 
     mod proptests {
         use super::*;
+        use crate::enrollment::EnrolledPuf;
+        use crate::threshold::{Betas, Thresholds};
         use proptest::prelude::*;
+        use puf_ml::LinearRegression;
+
+        /// A cheap well-formed record whose model depends on `salt`, so a
+        /// re-enrollment really changes the bytes.
+        fn synthetic_record(chip_id: u32, salt: u64) -> EnrolledChip {
+            let stages = 3;
+            let pufs = (0..2u64)
+                .map(|k| EnrolledPuf {
+                    model: LinearRegression::from_theta(
+                        (0..=stages as u64)
+                            .map(|i| ((salt ^ (k << 8 | i)) % 1000) as f64 / 7.0 - 50.0)
+                            .collect(),
+                    ),
+                    thresholds: Thresholds::new(-0.5, 0.25 + (salt % 5) as f64),
+                    betas: Betas::new(1.0, 1.0 + (salt % 3) as f64),
+                })
+                .collect();
+            EnrolledChip {
+                chip_id,
+                stages,
+                pufs,
+            }
+        }
+
+        /// One step of a random log workload: `None` is an explicit
+        /// compaction. Chip ids are drawn from a small range so events hit
+        /// new and already-enrolled chips alike.
+        fn step(op: u8, chip_id: u32, salt: u64) -> Option<DurableEvent> {
+            Some(match op {
+                0 => DurableEvent::Enroll(synthetic_record(chip_id, salt)),
+                1 => DurableEvent::Reenroll(synthetic_record(chip_id, salt)),
+                2 => DurableEvent::Lockout { chip_id },
+                3 => DurableEvent::Reinstate { chip_id },
+                4 => DurableEvent::PoolConsume {
+                    chip_id,
+                    bits: vec![u128::from(salt % 17), u128::from(salt % 5)],
+                },
+                5 => DurableEvent::StateSync {
+                    chip_id,
+                    state: ChipSessionState {
+                        consecutive_failures: (salt % 4) as u32,
+                        locked_out: salt.is_multiple_of(2),
+                        needs_reenrollment: salt.is_multiple_of(3),
+                        sessions: salt % 100,
+                        clean_accepts: salt % 50,
+                    },
+                },
+                _ => return None,
+            })
+        }
+
+        /// Applies `ops` to `log` and asserts, after every compaction, that
+        /// the incremental snapshot equals a from-scratch encode.
+        fn drive(log: &mut DurableLog, ops: &[(u8, u32, u64)]) {
+            for &(op, chip_id, salt) in ops {
+                let compacted = match step(op, chip_id, salt) {
+                    Some(event) => {
+                        log.append(&event);
+                        log.wal_events() == 0
+                    }
+                    None => {
+                        log.compact();
+                        true
+                    }
+                };
+                if compacted {
+                    prop_assert_eq!(
+                        log.snapshot_bytes(),
+                        &log.state().encode_snapshot(log.next_seq() - 1)[..]
+                    );
+                }
+            }
+        }
+
+        fn arb_ops() -> impl Strategy<Value = Vec<(u8, u32, u64)>> {
+            proptest::collection::vec((0u8..7, 0u32..8, any::<u64>()), 0..40)
+        }
+
+        const EVERY: [u64; 4] = [1, 3, 7, u64::MAX];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Incremental compaction is byte-identical to encoding the
+            /// whole state afresh, whatever the events and thresholds.
+            #[test]
+            fn prop_incremental_compaction_is_byte_identical(
+                ops in arb_ops(),
+                every_ix in 0usize..4,
+            ) {
+                let mut log = DurableLog::new(EVERY[every_ix]);
+                drive(&mut log, &ops);
+                log.compact();
+                prop_assert_eq!(
+                    log.snapshot_bytes(),
+                    &log.state().encode_snapshot(log.next_seq() - 1)[..]
+                );
+            }
+
+            /// The log `recover` returns (whose snapshot copies segments
+            /// from the recovered one) is byte-identical to a fresh encode,
+            /// and stays so after its threshold is restored and more
+            /// events arrive.
+            #[test]
+            fn prop_recovered_log_compacts_byte_identically(
+                before in arb_ops(),
+                after in arb_ops(),
+                every_ix in 0usize..4,
+            ) {
+                let mut log = DurableLog::new(EVERY[every_ix]);
+                drive(&mut log, &before);
+                let (mut recovered, report) = recover(log.snapshot_bytes(), log.wal_bytes());
+                prop_assert!(report.is_clean());
+                prop_assert_eq!(recovered.state(), log.state());
+                prop_assert_eq!(
+                    recovered.snapshot_bytes(),
+                    &recovered.state().encode_snapshot(recovered.next_seq() - 1)[..]
+                );
+                recovered.set_snapshot_every(EVERY[every_ix]);
+                drive(&mut recovered, &after);
+                recovered.compact();
+                prop_assert_eq!(
+                    recovered.snapshot_bytes(),
+                    &recovered.state().encode_snapshot(recovered.next_seq() - 1)[..]
+                );
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]

@@ -26,8 +26,13 @@ echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> tier-1: cargo build --release && cargo test -q"
+# The workspace's default-members make these cover the root package and
+# every crate under crates/ (not the vendor/ shims).
 cargo build --release
 cargo test -q
+
+echo "==> perfbench smoke: the benchmark package builds against the crates and its output checks pass"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run
