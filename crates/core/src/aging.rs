@@ -29,7 +29,6 @@ pub const REFERENCE_HOURS: f64 = 10_000.0;
 
 /// Population parameters of the aging process.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AgingModel {
     /// Per-stage drift σ accumulated at [`REFERENCE_HOURS`], in normalised
     /// delay units.
@@ -79,7 +78,6 @@ impl Default for AgingModel {
 
 /// One PUF's frozen drift directions.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DriftVector {
     drift: Vec<f64>,
 }

@@ -31,7 +31,6 @@ use rand::Rng;
 /// assert_eq!(puf.response(&c), puf.response(&c));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ArbiterPuf {
     weights: Vec<f64>,
 }

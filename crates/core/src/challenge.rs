@@ -24,7 +24,6 @@ use std::fmt;
 /// ([`crate::PAPER_STAGES`]) and a 64-stage variant is discussed for the
 /// challenge-space argument in its §5.2.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Challenge {
     bits: u128,
     stages: u8,
@@ -188,7 +187,6 @@ impl fmt::Display for Challenge {
 /// Newtype over `Vec<f64>` so signatures distinguish raw challenges from
 /// model inputs.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FeatureVector(pub(crate) Vec<f64>);
 
 impl FeatureVector {

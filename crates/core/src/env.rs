@@ -29,7 +29,6 @@ pub const NOMINAL_TEMP_C: f64 = 25.0;
 
 /// An operating condition: supply voltage and junction temperature.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Condition {
     /// Supply voltage in volts.
     pub vdd: f64,
@@ -94,7 +93,6 @@ impl fmt::Display for Condition {
 /// Units: normalised delay difference per volt (`voltage`) and per °C
 /// (`temperature`); see [`crate::ArbiterPuf`] for the normalisation.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Sensitivity {
     voltage: Vec<f64>,
     temperature: Vec<f64>,
@@ -142,7 +140,6 @@ impl Sensitivity {
 /// Holds the *population parameters*; per-PUF sensitivity draws live next to
 /// the PUF (see `puf_silicon::Chip`).
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Environment {
     /// Per-stage voltage sensitivity σ (delay units per volt).
     pub sigma_v: f64,

@@ -28,7 +28,6 @@ use rand::Rng;
 /// A feed-forward arbiter PUF: a linear arbiter PUF plus one feed-forward
 /// loop from `tap_stage` to `inject_stage`.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FeedForwardPuf {
     base: ArbiterPuf,
     /// Weights of the intermediate race seen by the tap arbiter

@@ -24,7 +24,6 @@ use rand::Rng;
 
 /// An `(x, y)` Interpose PUF over `stages`-bit challenges.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InterposePuf {
     upper: XorPuf,
     lower: XorPuf,

@@ -103,7 +103,6 @@ pub fn calibrate_noise_sigma(target: f64, n_evals: u64) -> f64 {
 /// evaluations a counter measurement performs, and provides the analytic
 /// soft response.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NoiseModel {
     sigma: f64,
     evaluations: u64,

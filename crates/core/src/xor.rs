@@ -26,7 +26,6 @@ use rand::Rng;
 /// assert_eq!(xor.response(&c), expect);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct XorPuf {
     members: Vec<ArbiterPuf>,
 }

@@ -146,6 +146,16 @@ impl<'a> Reader<'a> {
         Ok(self.take(1, what)?[0])
     }
 
+    /// A one-byte boolean; any byte but 0 or 1 is corruption the CRC
+    /// happened to miss.
+    fn flag(&mut self, what: &'static str, corrupt: &'static str) -> Result<bool, DecodeError> {
+        match self.u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(DecodeError::Corrupt { what: corrupt }),
+        }
+    }
+
     fn u16(&mut self, what: &'static str) -> Result<u16, DecodeError> {
         let b = self.take(2, what)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
@@ -180,33 +190,16 @@ fn put_state(out: &mut Vec<u8>, state: &ChipSessionState) {
 }
 
 fn get_state(r: &mut Reader<'_>) -> Result<ChipSessionState, DecodeError> {
-    let consecutive_failures = r.u32("state failures")?;
-    let locked_out = match r.u8("state lockout flag")? {
-        0 => false,
-        1 => true,
-        _ => {
-            return Err(DecodeError::Corrupt {
-                what: "state lockout flag is not a boolean",
-            })
-        }
-    };
-    let needs_reenrollment = match r.u8("state reenroll flag")? {
-        0 => false,
-        1 => true,
-        _ => {
-            return Err(DecodeError::Corrupt {
-                what: "state reenroll flag is not a boolean",
-            })
-        }
-    };
-    let sessions = r.u64("state sessions")?;
-    let clean_accepts = r.u64("state clean accepts")?;
+    // Struct-literal fields evaluate in source order: the wire order.
     Ok(ChipSessionState {
-        consecutive_failures,
-        locked_out,
-        needs_reenrollment,
-        sessions,
-        clean_accepts,
+        consecutive_failures: r.u32("state failures")?,
+        locked_out: r.flag("state lockout flag", "state lockout flag is not a boolean")?,
+        needs_reenrollment: r.flag(
+            "state reenroll flag",
+            "state reenroll flag is not a boolean",
+        )?,
+        sessions: r.u64("state sessions")?,
+        clean_accepts: r.u64("state clean accepts")?,
     })
 }
 
@@ -375,20 +368,15 @@ impl DurableState {
             }
             DurableEvent::Reenroll(record) => {
                 self.records.insert(record.chip_id, record.clone());
-                let state = self.states.entry(record.chip_id).or_default();
-                state.needs_reenrollment = false;
-                state.locked_out = false;
-                state.consecutive_failures = 0;
+                self.states.entry(record.chip_id).or_default().reenrolled();
                 // Fresh model ⇒ the challenge pool account starts over.
                 self.pools.remove(&record.chip_id);
             }
             DurableEvent::Lockout { chip_id } => {
-                self.states.entry(*chip_id).or_default().locked_out = true;
+                self.states.entry(*chip_id).or_default().lock_out();
             }
             DurableEvent::Reinstate { chip_id } => {
-                let state = self.states.entry(*chip_id).or_default();
-                state.locked_out = false;
-                state.consecutive_failures = 0;
+                self.states.entry(*chip_id).or_default().reinstate();
             }
             DurableEvent::PoolConsume { chip_id, bits } => {
                 let pool = self.pools.entry(*chip_id).or_default();

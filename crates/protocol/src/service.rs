@@ -43,7 +43,8 @@
 //!
 //! The session semantics — retries over fresh challenges, exponential
 //! backoff bookkeeping, consecutive-failure lockout, degraded fallback —
-//! replicate [`SessionManager::authenticate`] exactly, and
+//! are the session module's state machine, which this event loop drives
+//! through the same transitions [`SessionManager::authenticate`] does.
 //! [`PoolSource`] lets a sequential `SessionManager` replay consume the
 //! *same* challenge stream for equivalence testing and for the
 //! batched-vs-sequential speedup gate.
@@ -63,12 +64,12 @@
 //! [`SessionManager::authenticate`]: super::session::SessionManager::authenticate
 //! [`Server::select_challenges`]: super::server::Server::select_challenges
 
-use crate::auth::{AuthOutcome, Responder};
+use crate::auth::Responder;
 use crate::enrollment::EnrolledChip;
 use crate::server::{ExclusionSet, SelectedChallenge, Server};
 use crate::session::{
-    ChallengeSource, Channel, ChipSessionState, Delivery, SessionEvent, SessionOutcome,
-    SessionPolicy, SessionReport, TransportFailureKind,
+    exchange, ChallengeSource, Channel, ChipSessionState, SessionMachine, SessionPolicy,
+    SessionReport, Step,
 };
 use crate::ProtocolError;
 use puf_core::bitslice::{xor_response_packed_many, PackedBits};
@@ -797,18 +798,12 @@ struct ActiveSession<C, Ch> {
     submitted_tick: u64,
     not_before: u64,
     started: bool,
-    attempt: u32,
-    events: Vec<SessionEvent>,
+    machine: SessionMachine,
     /// Universe slots already issued to this session, one bit per slot —
     /// the event-loop twin of the sequential path's [`ExclusionSet`]
     /// (identical membership, answered by a word load instead of a
     /// pattern search). Allocated lazily on the first attempt.
     excluded_slots: Vec<u64>,
-    /// Count of distinct slots issued (`excluded_slots` population),
-    /// mirroring `ExclusionSet::len` in the session report.
-    issued: usize,
-    backoff_ticks_total: u64,
-    last_verification: Option<AuthOutcome>,
 }
 
 /// One delivered response frame awaiting a batched verdict.
@@ -950,10 +945,7 @@ impl<C: Responder, Ch: Channel> AuthService<C, Ch> {
             .store
             .insert(chip)
             .ok_or(ProtocolError::UnknownChip { chip_id })?;
-        let state = self.chip_states.entry(chip_id).or_default();
-        state.needs_reenrollment = false;
-        state.locked_out = false;
-        state.consecutive_failures = 0;
+        self.chip_states.entry(chip_id).or_default().reenrolled();
         puf_telemetry::counter!("protocol.service.reenrolls").inc();
         Ok(previous)
     }
@@ -989,12 +981,8 @@ impl<C: Responder, Ch: Channel> AuthService<C, Ch> {
                 submitted_tick: self.now,
                 not_before,
                 started: false,
-                attempt: 0,
-                events: Vec::new(),
+                machine: SessionMachine::default(),
                 excluded_slots: Vec::new(),
-                issued: 0,
-                backoff_ticks_total: 0,
-                last_verification: None,
             },
         );
         let fifo = self.chip_fifo.entry(chip_id).or_default();
@@ -1063,12 +1051,11 @@ impl<C: Responder, Ch: Channel> AuthService<C, Ch> {
         self.chip_states.insert(chip_id, state);
     }
 
-    /// Administratively clears a lockout, mirroring
-    /// [`super::session::SessionManager::reinstate`].
+    /// Administratively clears a lockout — see
+    /// [`ChipSessionState::reinstate`].
     pub fn reinstate(&mut self, chip_id: u32) {
         if let Some(state) = self.chip_states.get_mut(&chip_id) {
-            state.locked_out = false;
-            state.consecutive_failures = 0;
+            state.reinstate();
             puf_telemetry::counter!("protocol.service.reinstates").inc();
         }
     }
@@ -1180,53 +1167,47 @@ impl<C: Responder, Ch: Channel> AuthService<C, Ch> {
         }
     }
 
-    /// Runs one attempt of a woken session: activation bookkeeping, pool
-    /// selection, the device exchange, and either a pending-row enqueue
-    /// (delivered frames) or inline transport-failure handling.
+    /// Wakes one session and runs its next attempt.
     fn step_session(&mut self, session_id: u64) {
         let Some(mut s) = self.sessions.remove(&session_id) else {
             return;
         };
+        let step = self.attempt(session_id, &mut s);
+        self.advance(session_id, s, step);
+    }
 
+    /// One attempt of a woken session: activation on first wake, pool
+    /// selection from the warm planes, and the device exchange. A
+    /// delivered frame is queued for the batched flush (`Ok(None)`); a
+    /// transport failure is handed to the machine at once.
+    fn attempt(
+        &mut self,
+        session_id: u64,
+        s: &mut ActiveSession<C, Ch>,
+    ) -> Result<Option<Step>, ProtocolError> {
         if !s.started {
             s.started = true;
-            let state = self.chip_states.entry(s.chip_id).or_default();
-            if state.locked_out {
-                puf_telemetry::counter!("protocol.service.lockout_hits").inc();
-                let err = ProtocolError::ChipLockedOut {
-                    chip_id: s.chip_id,
-                    consecutive_failures: state.consecutive_failures,
-                };
-                self.finalize(session_id, s, Err(err));
-                return;
-            }
-            state.sessions += 1;
-            puf_telemetry::counter!("protocol.service.starts").inc();
+            let chip = self.chip_states.entry(s.chip_id).or_default();
+            s.machine.start(s.chip_id, chip)?;
         }
-
-        s.attempt += 1;
-        s.events
-            .push(SessionEvent::AttemptStarted { attempt: s.attempt });
-        puf_telemetry::counter!("protocol.service.attempts").inc();
+        s.machine.begin_attempt();
         let _trace = puf_telemetry::trace_span!("protocol.service.attempt");
 
         // Selection from the warm planes — same rng stream as the scalar
         // PoolSource replay.
         if !self.store.chips.contains_key(&s.chip_id) {
-            let err = ProtocolError::UnknownChip { chip_id: s.chip_id };
-            self.finalize(session_id, s, Err(err));
-            return;
+            return Err(ProtocolError::UnknownChip { chip_id: s.chip_id });
         }
-        let Some(warm) = self.store.warm.get(&s.chip_id) else {
-            let err = ProtocolError::MalformedRecord { chip_id: s.chip_id };
-            self.finalize(session_id, s, Err(err));
-            return;
-        };
+        let warm = self
+            .store
+            .warm
+            .get(&s.chip_id)
+            .ok_or(ProtocolError::MalformedRecord { chip_id: s.chip_id })?;
         if s.excluded_slots.is_empty() {
             s.excluded_slots = vec![0u64; self.universe.len().div_ceil(64)];
         }
         let excluded_slots = &s.excluded_slots;
-        let selected = match pool_select(
+        let selected = pool_select(
             &self.universe,
             self.config.policy.rounds,
             self.config.policy.select_budget(),
@@ -1236,106 +1217,63 @@ impl<C: Responder, Ch: Channel> AuthService<C, Ch> {
                 warm.mask.get(i).then(|| warm.expected.get(i))
             },
             &mut s.rng,
-        ) {
-            Ok(selected) => selected,
-            Err(e) => {
-                self.finalize(session_id, s, Err(e));
-                return;
-            }
-        };
+        )?;
+        let mut fresh = 0;
         for (slot, _) in &selected {
             let word = &mut s.excluded_slots[*slot as usize / 64];
             let bit = 1u64 << (slot % 64);
             if *word & bit == 0 {
                 *word |= bit;
-                s.issued += 1;
+                fresh += 1;
             }
         }
-        puf_telemetry::counter!("protocol.service.fresh_challenges").add(selected.len() as u64);
+        s.machine.issued(selected.len(), fresh);
 
         let challenges: Vec<Challenge> = selected.iter().map(|(_, sel)| sel.challenge).collect();
-        let transport_failure = match s.client.try_respond(&challenges) {
-            Ok(response) => match s.channel.transmit(response) {
-                Delivery::Delivered(bits) if bits.len() == challenges.len() => {
-                    // Delivered and well-framed: queue for the batched
-                    // verdict flush.
-                    let slots: Vec<u32> = selected.iter().map(|(slot, _)| *slot).collect();
-                    self.pending.push_back(PendingRow {
-                        session_id,
-                        enqueued_tick: self.now,
-                        slots,
-                        bits,
-                    });
-                    puf_telemetry::counter!("protocol.service.rows_enqueued").inc();
-                    self.sessions.insert(session_id, s);
-                    return;
-                }
-                Delivery::Delivered(_) => Some(TransportFailureKind::FrameMismatch),
-                Delivery::Dropped => Some(TransportFailureKind::Dropped),
-                Delivery::Straggled => Some(TransportFailureKind::Straggled),
-            },
-            Err(ProtocolError::Silicon(puf_silicon::SiliconError::FuseReadFailure)) => {
-                Some(TransportFailureKind::MeasurementGlitch)
+        match exchange(&mut s.client, &mut s.channel, &challenges)? {
+            Ok(bits) => {
+                self.pending.push_back(PendingRow {
+                    session_id,
+                    enqueued_tick: self.now,
+                    slots: selected.iter().map(|(slot, _)| *slot).collect(),
+                    bits,
+                });
+                puf_telemetry::counter!("protocol.service.rows_enqueued").inc();
+                Ok(None)
             }
-            Err(e) => {
-                self.finalize(session_id, s, Err(e));
-                return;
-            }
-        };
-
-        if let Some(kind) = transport_failure {
-            s.events.push(SessionEvent::TransportFailed {
-                attempt: s.attempt,
-                kind,
-            });
-            puf_telemetry::counter!("protocol.service.transport_failures").inc();
-            puf_telemetry::trace_instant!("protocol.service.transport_failure");
+            Err(kind) => s
+                .machine
+                .transport_failed(&self.config.policy, kind)
+                .map(Some),
         }
-        self.retry_or_conclude(session_id, s);
     }
 
-    /// After a failed (or transport-lost) attempt: concludes the session
-    /// if the attempt budget is spent, otherwise schedules the backoff
-    /// retry. Mirrors the tail of `SessionManager::authenticate`'s loop.
-    fn retry_or_conclude(&mut self, session_id: u64, mut s: ActiveSession<C, Ch>) {
-        let total_attempts = self.config.policy.max_retries.saturating_add(1);
-        if s.attempt >= total_attempts {
-            if let (Some(fallback), Some(last)) = (self.config.policy.fallback, s.last_verification)
-            {
-                match fallback.try_accepts(last.challenges_used, last.mismatches) {
-                    Ok(true) => {
-                        s.events.push(SessionEvent::DegradedAccept {
-                            mismatches: last.mismatches,
-                        });
-                        puf_telemetry::counter!("protocol.service.degraded").inc();
-                        puf_telemetry::trace_instant!("protocol.service.degraded_accept");
-                        self.conclude(session_id, s, SessionOutcome::Degraded);
-                        return;
-                    }
-                    Ok(false) => {}
-                    Err(e) => {
-                        self.finalize(session_id, s, Err(e));
-                        return;
-                    }
-                }
+    /// Acts on a session's latest transition: parks it until its row is
+    /// judged (`Ok(None)`) or its backoff wake, or records its verdict.
+    fn advance(
+        &mut self,
+        session_id: u64,
+        mut s: ActiveSession<C, Ch>,
+        step: Result<Option<Step>, ProtocolError>,
+    ) {
+        match step {
+            Ok(None) => {
+                self.sessions.insert(session_id, s);
             }
-            puf_telemetry::counter!("protocol.service.rejects").inc();
-            puf_telemetry::trace_instant!("protocol.service.reject");
-            self.conclude(session_id, s, SessionOutcome::Rejected);
-            return;
+            Ok(Some(Step::Retry(after))) => {
+                // Saturating: a valid policy may back off up to u64::MAX
+                // ticks, which must not wrap round to an immediate retry.
+                let at = self.now.saturating_add(after.max(1));
+                self.wakes.entry(at).or_default().push(session_id);
+                self.sessions.insert(session_id, s);
+            }
+            Ok(Some(Step::Done(outcome))) => {
+                let chip = self.chip_states.entry(s.chip_id).or_default();
+                let report = std::mem::take(&mut s.machine).finish(outcome, chip);
+                self.finalize(session_id, s, Ok(report));
+            }
+            Err(e) => self.finalize(session_id, s, Err(e)),
         }
-        let ticks = self.config.policy.backoff_ticks(s.attempt);
-        s.backoff_ticks_total = s.backoff_ticks_total.saturating_add(ticks);
-        s.events.push(SessionEvent::BackoffScheduled {
-            attempt: s.attempt,
-            ticks,
-        });
-        puf_telemetry::counter!("protocol.service.retries").inc();
-        puf_telemetry::counter!("protocol.service.backoff_ticks").add(ticks);
-        puf_telemetry::trace_instant!("protocol.service.backoff");
-        let at = self.now + ticks.max(1);
-        self.wakes.entry(at).or_default().push(session_id);
-        self.sessions.insert(session_id, s);
     }
 
     /// Judges every pending row against the warm planes and advances the
@@ -1353,92 +1291,28 @@ impl<C: Responder, Ch: Channel> AuthService<C, Ch> {
         }
     }
 
-    /// Judges one delivered frame. Mirrors the verification arm of
-    /// `SessionManager::authenticate` bit for bit (events, counters,
-    /// lockout progress), with expected bits looked up in the warm planes
-    /// instead of re-evaluated.
+    /// Judges one delivered frame: mismatches are counted against the warm
+    /// planes' expected bits, and the machine rules on them.
     fn judge_row(&mut self, row: PendingRow) {
         let Some(mut s) = self.sessions.remove(&row.session_id) else {
             return;
         };
-        let Some(warm) = self.store.warm.get(&s.chip_id) else {
+        let step = match self.store.warm.get(&s.chip_id) {
+            Some(warm) => {
+                let mismatches = row
+                    .slots
+                    .iter()
+                    .zip(&row.bits)
+                    .filter(|(&slot, &bit)| warm.expected.get(slot as usize) != bit)
+                    .count();
+                let chip = self.chip_states.entry(s.chip_id).or_default();
+                s.machine
+                    .delivered(&self.config.policy, chip, row.bits.len(), mismatches)
+            }
             // Re-enrollment between enqueue and flush evicted the planes.
-            let err = ProtocolError::MalformedRecord { chip_id: s.chip_id };
-            self.finalize(row.session_id, s, Err(err));
-            return;
+            None => Err(ProtocolError::MalformedRecord { chip_id: s.chip_id }),
         };
-        let mismatches = row
-            .slots
-            .iter()
-            .zip(&row.bits)
-            .filter(|(&slot, &bit)| warm.expected.get(slot as usize) != bit)
-            .count();
-        let judged =
-            match AuthOutcome::try_judge(self.config.policy.primary, row.bits.len(), mismatches) {
-                Ok(judged) => judged,
-                Err(e) => {
-                    self.finalize(row.session_id, s, Err(e));
-                    return;
-                }
-            };
-        s.last_verification = Some(judged);
-        if judged.approved {
-            s.events.push(SessionEvent::Accepted { attempt: s.attempt });
-            puf_telemetry::counter!("protocol.service.accepts").inc();
-            puf_telemetry::trace_instant!("protocol.service.accept");
-            self.conclude(row.session_id, s, SessionOutcome::Accepted);
-            return;
-        }
-        s.events.push(SessionEvent::VerificationFailed {
-            attempt: s.attempt,
-            mismatches,
-        });
-        puf_telemetry::counter!("protocol.service.verify_failures").inc();
-        puf_telemetry::trace_instant!("protocol.service.verify_failure");
-        let failures = {
-            let state = self.chip_states.entry(s.chip_id).or_default();
-            state.consecutive_failures = state.consecutive_failures.saturating_add(1);
-            state.consecutive_failures
-        };
-        if failures >= self.config.policy.lockout_threshold {
-            if let Some(state) = self.chip_states.get_mut(&s.chip_id) {
-                state.locked_out = true;
-            }
-            s.events.push(SessionEvent::LockedOut {
-                consecutive_failures: failures,
-            });
-            puf_telemetry::counter!("protocol.service.lockouts").inc();
-            puf_telemetry::trace_instant!("protocol.service.lockout");
-            self.conclude(row.session_id, s, SessionOutcome::LockedOut);
-            return;
-        }
-        self.retry_or_conclude(row.session_id, s);
-    }
-
-    /// Applies the terminal chip-state bookkeeping and emits the report —
-    /// the post-loop block of `SessionManager::authenticate`.
-    fn conclude(&mut self, session_id: u64, s: ActiveSession<C, Ch>, outcome: SessionOutcome) {
-        let state = self.chip_states.entry(s.chip_id).or_default();
-        match outcome {
-            SessionOutcome::Accepted => {
-                state.consecutive_failures = 0;
-                state.clean_accepts += 1;
-            }
-            SessionOutcome::Degraded => {
-                state.needs_reenrollment = true;
-            }
-            SessionOutcome::Rejected | SessionOutcome::LockedOut => {}
-        }
-        let report = SessionReport {
-            outcome,
-            attempts: s.attempt,
-            backoff_ticks_total: s.backoff_ticks_total,
-            challenges_issued: s.issued,
-            needs_reenrollment: state.needs_reenrollment,
-            last_verification: s.last_verification,
-            events: s.events.clone(),
-        };
-        self.finalize(session_id, s, Ok(report));
+        self.advance(row.session_id, s, step.map(Some));
     }
 
     /// Records the verdict and activates the chip's next queued session.
@@ -1482,7 +1356,7 @@ mod tests {
     use super::*;
     use crate::auth::{ChipResponder, RandomResponder};
     use crate::enrollment::{enroll, EnrollmentConfig};
-    use crate::session::{PerfectChannel, SessionManager};
+    use crate::session::{PerfectChannel, SessionManager, SessionOutcome};
     use puf_core::Condition;
     use puf_silicon::{Chip, ChipConfig};
     use rand::rngs::StdRng;
@@ -1699,6 +1573,49 @@ mod tests {
         }
         service.reinstate(chip_id);
         assert!(!service.chip_state(chip_id).unwrap().locked_out);
+    }
+
+    #[test]
+    fn maximal_backoff_sleeps_without_overflow_or_starving_other_chips() {
+        // validate() accepts a u64::MAX backoff. The retry's wake tick must
+        // saturate, not overflow (or, in release, wrap to the next tick).
+        let policy = SessionPolicy {
+            max_retries: 1,
+            backoff_base_ticks: u64::MAX,
+            backoff_cap_ticks: u64::MAX,
+            ..SessionPolicy::resilient(10)
+        };
+        let mut rng = StdRng::seed_from_u64(TEST_SEED);
+        let chips: Vec<Chip> = (0..2)
+            .map(|id| Chip::fabricate(id, &ChipConfig::small(), &mut rng))
+            .collect();
+        let universe =
+            Arc::new(ChallengeUniverse::generate(chips[0].stages(), 400, &mut rng).unwrap());
+        let mut service: AuthService<ChipResponder<'_>, PerfectChannel> =
+            AuthService::new(ServiceConfig::new(policy), universe).unwrap();
+        for chip in &chips {
+            let record = enroll(chip, &EnrollmentConfig::small(2), &mut rng).unwrap();
+            service.enroll(&record).unwrap();
+        }
+        // Chip 1's silicon answering for chip 0 is an impostor; chip 1's
+        // own session is genuine.
+        for (lane, chip_id) in [0u32, 1].into_iter().enumerate() {
+            let client = ChipResponder::new(&chips[1], 2, Condition::NOMINAL, lane as u64);
+            let rng = StdRng::seed_from_u64(service_lane(TEST_SEED, lane as u64));
+            service.submit(chip_id, client, PerfectChannel, rng, 0);
+        }
+        for _ in 0..100 {
+            service.tick();
+        }
+        let verdicts = service.drain_verdicts();
+        assert_eq!(verdicts.len(), 1, "only the genuine session decides");
+        assert_eq!(verdicts[0].chip_id, 1);
+        let report = verdicts[0].result.as_ref().unwrap();
+        assert_eq!(report.outcome, SessionOutcome::Accepted);
+        // The impostor failed its first attempt and sleeps through the
+        // maximal backoff.
+        assert!(!service.is_idle());
+        assert_eq!(service.chip_state(0).unwrap().consecutive_failures, 1);
     }
 
     #[test]

@@ -31,12 +31,18 @@
 //!   [`SessionOutcome::Degraded`] that flags the chip for re-enrollment —
 //!   security is never weakened silently.
 //!
-//! Every transition increments a `protocol.session.*` telemetry counter
-//! (see the README's observability table).
+//! These rules live in one sans-IO state machine (`SessionMachine`) that
+//! owns no RNG, performs no I/O and selects no challenges. Two drivers
+//! feed it: [`SessionManager`] selects, exchanges and judges inline, and
+//! the batched `service::AuthService` judges delivered frames at flush
+//! time and sleeps through backoff on its tick clock. Every transition
+//! increments a `protocol.session.*` telemetry counter (see the README's
+//! observability table), whichever driver runs it.
 
 use crate::auth::{AuthOutcome, AuthPolicy, Responder};
 use crate::server::{ExclusionSet, SelectedChallenge, Server};
 use crate::ProtocolError;
+use puf_core::Challenge;
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -379,6 +385,248 @@ pub struct ChipSessionState {
     pub clean_accepts: u64,
 }
 
+impl ChipSessionState {
+    /// Administrative reinstatement: lifts a lockout and resets the
+    /// consecutive-failure counter. With [`ChipSessionState::reenrolled`]
+    /// this is the only way out of lockout.
+    pub(crate) fn reinstate(&mut self) {
+        self.locked_out = false;
+        self.consecutive_failures = 0;
+    }
+
+    /// A fresh enrollment record replaced the chip's model: clears the
+    /// re-enrollment flag and reinstates the chip. The session and
+    /// clean-accept counters are history and survive.
+    pub(crate) fn reenrolled(&mut self) {
+        self.needs_reenrollment = false;
+        self.reinstate();
+    }
+
+    /// Locks the chip out: no further sessions start until it is
+    /// reinstated or re-enrolled.
+    pub(crate) fn lock_out(&mut self) {
+        self.locked_out = true;
+    }
+}
+
+/// What a session driver does after a [`SessionMachine`] transition.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Run the next attempt once this many backoff ticks have passed.
+    Retry(u64),
+    /// The session is over; [`SessionMachine::finish`] yields its report.
+    Done(SessionOutcome),
+}
+
+/// The session state machine: attempts, issued-challenge count, backoff
+/// schedule, lockout counter, degraded-fallback ladder, event log and the
+/// `protocol.session.*` transition telemetry.
+///
+/// It performs no I/O, draws no randomness, selects no challenges and
+/// looks up no expected bits: a driver does those and reports what
+/// happened. [`SessionManager`] drives it synchronously; the batched
+/// `service::AuthService` drives it across event-loop ticks, judging
+/// delivered frames at flush time. Both call these same transitions, which
+/// is what makes their reports identical for the same challenge stream.
+#[derive(Debug, Default)]
+pub(crate) struct SessionMachine {
+    attempt: u32,
+    issued: usize,
+    backoff_ticks_total: u64,
+    last_verification: Option<AuthOutcome>,
+    events: Vec<SessionEvent>,
+}
+
+impl SessionMachine {
+    /// Starts a session against the chip's state: a locked-out chip is
+    /// refused before any challenge is exposed, otherwise the session is
+    /// counted.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::ChipLockedOut`] if the chip is locked out.
+    pub(crate) fn start(
+        &mut self,
+        chip_id: u32,
+        chip: &mut ChipSessionState,
+    ) -> Result<(), ProtocolError> {
+        if chip.locked_out {
+            puf_telemetry::counter!("protocol.session.lockout_hits").inc();
+            return Err(ProtocolError::ChipLockedOut {
+                chip_id,
+                consecutive_failures: chip.consecutive_failures,
+            });
+        }
+        chip.sessions += 1;
+        puf_telemetry::counter!("protocol.session.starts").inc();
+        Ok(())
+    }
+
+    /// Begins the next attempt.
+    pub(crate) fn begin_attempt(&mut self) {
+        self.attempt += 1;
+        self.events.push(SessionEvent::AttemptStarted {
+            attempt: self.attempt,
+        });
+        puf_telemetry::counter!("protocol.session.attempts").inc();
+    }
+
+    /// Records an attempt's selection: `drawn` challenges sent, `fresh` of
+    /// them never issued before in this session.
+    pub(crate) fn issued(&mut self, drawn: usize, fresh: usize) {
+        self.issued += fresh;
+        puf_telemetry::counter!("protocol.session.fresh_challenges").add(drawn as u64);
+    }
+
+    /// The attempt's exchange failed at the transport layer: it consumes
+    /// retry budget but is no evidence about who is responding, so the
+    /// lockout counter does not move. Errs only on an invalid fallback.
+    pub(crate) fn transport_failed(
+        &mut self,
+        policy: &SessionPolicy,
+        kind: TransportFailureKind,
+    ) -> Result<Step, ProtocolError> {
+        self.events.push(SessionEvent::TransportFailed {
+            attempt: self.attempt,
+            kind,
+        });
+        puf_telemetry::counter!("protocol.session.transport_failures").inc();
+        puf_telemetry::trace_instant!("protocol.session.transport_failure");
+        self.retry_or_conclude(policy)
+    }
+
+    /// Judges a delivered frame of `rounds` responses with `mismatches`
+    /// wrong bits under the primary policy. A failed verification advances
+    /// the chip's lockout counter and may lock it out. Errs on an empty
+    /// round or an invalid fallback.
+    pub(crate) fn delivered(
+        &mut self,
+        policy: &SessionPolicy,
+        chip: &mut ChipSessionState,
+        rounds: usize,
+        mismatches: usize,
+    ) -> Result<Step, ProtocolError> {
+        let judged = AuthOutcome::try_judge(policy.primary, rounds, mismatches)?;
+        self.last_verification = Some(judged);
+        if judged.approved {
+            self.events.push(SessionEvent::Accepted {
+                attempt: self.attempt,
+            });
+            puf_telemetry::counter!("protocol.session.accepts").inc();
+            puf_telemetry::trace_instant!("protocol.session.accept");
+            return Ok(Step::Done(SessionOutcome::Accepted));
+        }
+        self.events.push(SessionEvent::VerificationFailed {
+            attempt: self.attempt,
+            mismatches,
+        });
+        puf_telemetry::counter!("protocol.session.verify_failures").inc();
+        puf_telemetry::trace_instant!("protocol.session.verify_failure");
+        // Verification failure is evidence against the responder: advance
+        // the lockout counter now, so a retry storm cannot outrun the
+        // threshold.
+        chip.consecutive_failures = chip.consecutive_failures.saturating_add(1);
+        if chip.consecutive_failures >= policy.lockout_threshold {
+            chip.lock_out();
+            self.events.push(SessionEvent::LockedOut {
+                consecutive_failures: chip.consecutive_failures,
+            });
+            puf_telemetry::counter!("protocol.session.lockouts").inc();
+            puf_telemetry::trace_instant!("protocol.session.lockout");
+            return Ok(Step::Done(SessionOutcome::LockedOut));
+        }
+        self.retry_or_conclude(policy)
+    }
+
+    /// After a failed attempt: schedules the backoff retry, or — attempts
+    /// exhausted — tries the degraded ladder on the last round that reached
+    /// verification and otherwise rejects.
+    fn retry_or_conclude(&mut self, policy: &SessionPolicy) -> Result<Step, ProtocolError> {
+        if self.attempt >= policy.max_retries.saturating_add(1) {
+            if let (Some(fallback), Some(last)) = (policy.fallback, self.last_verification) {
+                if fallback.try_accepts(last.challenges_used, last.mismatches)? {
+                    self.events.push(SessionEvent::DegradedAccept {
+                        mismatches: last.mismatches,
+                    });
+                    puf_telemetry::counter!("protocol.session.degraded").inc();
+                    puf_telemetry::trace_instant!("protocol.session.degraded_accept");
+                    return Ok(Step::Done(SessionOutcome::Degraded));
+                }
+            }
+            puf_telemetry::counter!("protocol.session.rejects").inc();
+            puf_telemetry::trace_instant!("protocol.session.reject");
+            return Ok(Step::Done(SessionOutcome::Rejected));
+        }
+        let ticks = policy.backoff_ticks(self.attempt);
+        self.backoff_ticks_total = self.backoff_ticks_total.saturating_add(ticks);
+        self.events.push(SessionEvent::BackoffScheduled {
+            attempt: self.attempt,
+            ticks,
+        });
+        puf_telemetry::counter!("protocol.session.retries").inc();
+        puf_telemetry::counter!("protocol.session.backoff_ticks").add(ticks);
+        puf_telemetry::trace_instant!("protocol.session.backoff");
+        Ok(Step::Retry(ticks))
+    }
+
+    /// Ends the session with the `outcome` a transition returned: only a
+    /// clean accept clears lockout progress, a degraded accept flags the
+    /// chip for re-enrollment.
+    pub(crate) fn finish(
+        self,
+        outcome: SessionOutcome,
+        chip: &mut ChipSessionState,
+    ) -> SessionReport {
+        match outcome {
+            SessionOutcome::Accepted => {
+                chip.consecutive_failures = 0;
+                chip.clean_accepts += 1;
+            }
+            SessionOutcome::Degraded => chip.needs_reenrollment = true,
+            SessionOutcome::Rejected | SessionOutcome::LockedOut => {}
+        }
+        SessionReport {
+            outcome,
+            attempts: self.attempt,
+            backoff_ticks_total: self.backoff_ticks_total,
+            challenges_issued: self.issued,
+            needs_reenrollment: chip.needs_reenrollment,
+            last_verification: self.last_verification,
+            events: self.events,
+        }
+    }
+}
+
+/// One device exchange: the responder answers `challenges` and the channel
+/// carries the frame. Returns the delivered bits, or how the transport
+/// failed — a wrong-length frame is [`TransportFailureKind::FrameMismatch`]
+/// and a transient fuse-sense glitch (no responses, no evidence) is
+/// [`TransportFailureKind::MeasurementGlitch`].
+///
+/// # Errors
+///
+/// Every other responder error (stage mismatch, blown fuses, …) is
+/// permanent and propagates.
+pub(crate) fn exchange<C: Responder, Ch: Channel>(
+    client: &mut C,
+    channel: &mut Ch,
+    challenges: &[Challenge],
+) -> Result<Result<Vec<bool>, TransportFailureKind>, ProtocolError> {
+    let response = match client.try_respond(challenges) {
+        Ok(response) => response,
+        Err(ProtocolError::Silicon(puf_silicon::SiliconError::FuseReadFailure)) => {
+            return Ok(Err(TransportFailureKind::MeasurementGlitch))
+        }
+        Err(e) => return Err(e),
+    };
+    Ok(match channel.transmit(response) {
+        Delivery::Delivered(bits) if bits.len() == challenges.len() => Ok(bits),
+        Delivery::Delivered(_) => Err(TransportFailureKind::FrameMismatch),
+        Delivery::Dropped => Err(TransportFailureKind::Dropped),
+        Delivery::Straggled => Err(TransportFailureKind::Straggled),
+    })
+}
+
 /// Drives resilient authentication sessions against a [`Server`].
 #[derive(Clone, Debug)]
 pub struct SessionManager {
@@ -451,12 +699,11 @@ impl SessionManager {
     }
 
     /// Administratively clears a lockout (e.g. after out-of-band vetting)
-    /// and resets the consecutive-failure counter. This is the **only**
-    /// path out of lockout.
+    /// and resets the consecutive-failure counter — see
+    /// [`ChipSessionState::reinstate`].
     pub fn reinstate(&mut self, chip_id: u32) {
         if let Some(state) = self.states.get_mut(&chip_id) {
-            state.locked_out = false;
-            state.consecutive_failures = 0;
+            state.reinstate();
             puf_telemetry::counter!("protocol.session.reinstates").inc();
         }
     }
@@ -479,10 +726,7 @@ impl SessionManager {
     ) -> Result<crate::enrollment::EnrolledChip, ProtocolError> {
         let chip_id = record.chip_id;
         let previous = self.server.reenroll_chip(record)?;
-        let state = self.states.entry(chip_id).or_default();
-        state.needs_reenrollment = false;
-        state.locked_out = false;
-        state.consecutive_failures = 0;
+        self.states.entry(chip_id).or_default().reenrolled();
         puf_telemetry::counter!("protocol.session.reenrolls").inc();
         Ok(previous)
     }
@@ -541,177 +785,53 @@ impl SessionManager {
         Ch: Channel,
         S: ChallengeSource,
     {
-        let state = self.states.entry(chip_id).or_default();
-        if state.locked_out {
-            puf_telemetry::counter!("protocol.session.lockout_hits").inc();
-            return Err(ProtocolError::ChipLockedOut {
-                chip_id,
-                consecutive_failures: state.consecutive_failures,
-            });
-        }
-        state.sessions += 1;
-        puf_telemetry::counter!("protocol.session.starts").inc();
+        let mut machine = SessionMachine::default();
+        machine.start(chip_id, self.states.entry(chip_id).or_default())?;
         let _span = puf_telemetry::span!("protocol.session.duration");
         let _trace = puf_telemetry::trace_span!("protocol.session.authenticate");
-
-        let mut events = Vec::new();
         // Reuse the manager's scratch exclusion buffer: same semantics as a
-        // fresh set (cleared on entry), without per-session allocation.
+        // fresh set (cleared on entry), without per-session allocation. An
+        // error return drops it; the next session then starts a new one.
         let mut exclude = std::mem::take(&mut self.exclusion_scratch);
         exclude.clear();
-        let mut backoff_ticks_total = 0u64;
-        let mut last_verification: Option<AuthOutcome> = None;
-        let total_attempts = self.policy.max_retries.saturating_add(1);
         let select_budget = self.policy.select_budget();
-
-        let mut attempt = 0u32;
         let outcome = loop {
-            attempt += 1;
-            events.push(SessionEvent::AttemptStarted { attempt });
-            puf_telemetry::counter!("protocol.session.attempts").inc();
+            machine.begin_attempt();
             let _attempt = puf_telemetry::trace_span!("protocol.session.attempt");
-
             // Fresh challenges: everything issued earlier in this session
             // is excluded, so a failed set is never re-exposed.
-            let selected = match source.select(
+            let selected = source.select(
                 &self.server,
                 chip_id,
                 self.policy.rounds,
                 select_budget,
                 &exclude,
                 rng,
-            ) {
-                Ok(selected) => selected,
-                Err(e) => {
-                    self.exclusion_scratch = exclude;
-                    return Err(e);
+            )?;
+            let fresh = selected
+                .iter()
+                .filter(|s| exclude.insert(s.challenge.bits()))
+                .count();
+            machine.issued(selected.len(), fresh);
+            let challenges: Vec<Challenge> = selected.iter().map(|s| s.challenge).collect();
+            let step = match exchange(client, channel, &challenges)? {
+                Ok(bits) => {
+                    let mismatches = selected
+                        .iter()
+                        .zip(&bits)
+                        .filter(|(s, &r)| s.expected != r)
+                        .count();
+                    let chip = self.states.entry(chip_id).or_default();
+                    machine.delivered(&self.policy, chip, bits.len(), mismatches)?
                 }
+                Err(kind) => machine.transport_failed(&self.policy, kind)?,
             };
-            for s in &selected {
-                exclude.insert(s.challenge.bits());
+            if let Step::Done(outcome) = step {
+                break outcome;
             }
-            puf_telemetry::counter!("protocol.session.fresh_challenges").add(selected.len() as u64);
-
-            let challenges: Vec<_> = selected.iter().map(|s| s.challenge).collect();
-            let transport_failure = match client.try_respond(&challenges) {
-                Ok(response) => match channel.transmit(response) {
-                    Delivery::Delivered(bits) if bits.len() == challenges.len() => {
-                        let mismatches = selected
-                            .iter()
-                            .zip(&bits)
-                            .filter(|(s, &r)| s.expected != r)
-                            .count();
-                        let judged = AuthOutcome::try_judge(
-                            self.policy.primary,
-                            challenges.len(),
-                            mismatches,
-                        )?;
-                        last_verification = Some(judged);
-                        if judged.approved {
-                            events.push(SessionEvent::Accepted { attempt });
-                            puf_telemetry::counter!("protocol.session.accepts").inc();
-                            puf_telemetry::trace_instant!("protocol.session.accept");
-                            break SessionOutcome::Accepted;
-                        }
-                        events.push(SessionEvent::VerificationFailed {
-                            attempt,
-                            mismatches,
-                        });
-                        puf_telemetry::counter!("protocol.session.verify_failures").inc();
-                        puf_telemetry::trace_instant!("protocol.session.verify_failure");
-                        // Verification failure is evidence against the
-                        // responder: advance the lockout counter now, so a
-                        // retry storm cannot outrun the threshold.
-                        let failures = {
-                            let state = self.states.entry(chip_id).or_default();
-                            state.consecutive_failures =
-                                state.consecutive_failures.saturating_add(1);
-                            state.consecutive_failures
-                        };
-                        if failures >= self.policy.lockout_threshold {
-                            if let Some(state) = self.states.get_mut(&chip_id) {
-                                state.locked_out = true;
-                            }
-                            events.push(SessionEvent::LockedOut {
-                                consecutive_failures: failures,
-                            });
-                            puf_telemetry::counter!("protocol.session.lockouts").inc();
-                            puf_telemetry::trace_instant!("protocol.session.lockout");
-                            break SessionOutcome::LockedOut;
-                        }
-                        None
-                    }
-                    Delivery::Delivered(_) => Some(TransportFailureKind::FrameMismatch),
-                    Delivery::Dropped => Some(TransportFailureKind::Dropped),
-                    Delivery::Straggled => Some(TransportFailureKind::Straggled),
-                },
-                // A transient fuse-sense glitch produced no responses: the
-                // exchange failed before any evidence arrived. Everything
-                // else (stage mismatch, blown fuses, …) is permanent.
-                Err(ProtocolError::Silicon(puf_silicon::SiliconError::FuseReadFailure)) => {
-                    Some(TransportFailureKind::MeasurementGlitch)
-                }
-                Err(e) => {
-                    self.exclusion_scratch = exclude;
-                    return Err(e);
-                }
-            };
-
-            if let Some(kind) = transport_failure {
-                events.push(SessionEvent::TransportFailed { attempt, kind });
-                puf_telemetry::counter!("protocol.session.transport_failures").inc();
-                puf_telemetry::trace_instant!("protocol.session.transport_failure");
-            }
-
-            if attempt >= total_attempts {
-                // Attempts exhausted: try the degraded ladder on the last
-                // round that actually reached verification.
-                if let (Some(fallback), Some(last)) = (self.policy.fallback, last_verification) {
-                    if fallback.try_accepts(last.challenges_used, last.mismatches)? {
-                        events.push(SessionEvent::DegradedAccept {
-                            mismatches: last.mismatches,
-                        });
-                        puf_telemetry::counter!("protocol.session.degraded").inc();
-                        puf_telemetry::trace_instant!("protocol.session.degraded_accept");
-                        break SessionOutcome::Degraded;
-                    }
-                }
-                puf_telemetry::counter!("protocol.session.rejects").inc();
-                puf_telemetry::trace_instant!("protocol.session.reject");
-                break SessionOutcome::Rejected;
-            }
-
-            let ticks = self.policy.backoff_ticks(attempt);
-            backoff_ticks_total = backoff_ticks_total.saturating_add(ticks);
-            events.push(SessionEvent::BackoffScheduled { attempt, ticks });
-            puf_telemetry::counter!("protocol.session.retries").inc();
-            puf_telemetry::counter!("protocol.session.backoff_ticks").add(ticks);
-            puf_telemetry::trace_instant!("protocol.session.backoff");
         };
-
-        let state = self.states.entry(chip_id).or_default();
-        match outcome {
-            SessionOutcome::Accepted => {
-                // Only a clean accept clears lockout progress.
-                state.consecutive_failures = 0;
-                state.clean_accepts += 1;
-            }
-            SessionOutcome::Degraded => {
-                state.needs_reenrollment = true;
-            }
-            SessionOutcome::Rejected | SessionOutcome::LockedOut => {}
-        }
-        let challenges_issued = exclude.len();
         self.exclusion_scratch = exclude;
-        Ok(SessionReport {
-            outcome,
-            attempts: attempt,
-            backoff_ticks_total,
-            challenges_issued,
-            needs_reenrollment: state.needs_reenrollment,
-            last_verification,
-            events,
-        })
+        Ok(machine.finish(outcome, self.states.entry(chip_id).or_default()))
     }
 }
 
@@ -1107,5 +1227,249 @@ mod tests {
             mgr.authenticate(99, &mut client, &mut PerfectChannel, &mut rng),
             Err(ProtocolError::UnknownChip { chip_id: 99 })
         ));
+    }
+
+    /// One operation of the model-check harness.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        /// Start a session (if none is running) and begin its first
+        /// attempt, recording `fresh` newly issued challenges.
+        Start { fresh: usize },
+        /// The running attempt's exchange: a delivered frame with this
+        /// many mismatches, or a transport failure.
+        Exchange(Result<usize, TransportFailureKind>),
+        /// Administrative reinstatement.
+        Reinstate,
+        /// Re-enrollment (only between sessions, as both drivers require).
+        Reenroll,
+    }
+
+    fn arb_policy() -> impl proptest::strategy::Strategy<Value = SessionPolicy> {
+        use proptest::prelude::*;
+        const BASES: [u64; 5] = [0, 1, 3, u64::MAX / 2, u64::MAX];
+        const FRACTIONS: [f64; 3] = [0.0, 0.25, 0.5];
+        (
+            (1usize..6, 0u32..4, 0usize..5, 0u64..8),
+            (1u32..6, 0usize..4, 0usize..4),
+        )
+            .prop_map(
+                |((rounds, max_retries, base, extra), (threshold, primary, fallback))| {
+                    let backoff_base_ticks = BASES[base];
+                    SessionPolicy {
+                        rounds,
+                        max_retries,
+                        backoff_base_ticks,
+                        backoff_cap_ticks: backoff_base_ticks.saturating_add(extra),
+                        lockout_threshold: threshold,
+                        primary: match primary {
+                            0 => AuthPolicy::ZeroHammingDistance,
+                            i => AuthPolicy::MaxHammingFraction(FRACTIONS[i - 1]),
+                        },
+                        fallback: match fallback {
+                            0 => None,
+                            i => Some(AuthPolicy::MaxHammingFraction(FRACTIONS[i - 1])),
+                        },
+                    }
+                },
+            )
+    }
+
+    fn arb_ops() -> impl proptest::strategy::Strategy<Value = Vec<Op>> {
+        use proptest::prelude::*;
+        const KINDS: [TransportFailureKind; 4] = [
+            TransportFailureKind::Dropped,
+            TransportFailureKind::Straggled,
+            TransportFailureKind::FrameMismatch,
+            TransportFailureKind::MeasurementGlitch,
+        ];
+        proptest::collection::vec(
+            (0u8..10, any::<u8>()).prop_map(|(op, arg)| match op {
+                0 | 1 => Op::Start {
+                    fresh: usize::from(arg % 8),
+                },
+                2..=4 => Op::Exchange(Ok(usize::from(arg))),
+                5 | 6 => Op::Exchange(Err(KINDS[usize::from(arg % 4)])),
+                7 => Op::Reinstate,
+                _ => Op::Reenroll,
+            }),
+            0..80,
+        )
+    }
+
+    /// Whether `mismatches` of `total` pass `policy`, written out plainly.
+    fn reference_accepts(policy: AuthPolicy, total: usize, mismatches: usize) -> bool {
+        if let AuthPolicy::MaxHammingFraction(bound) = policy {
+            mismatches as f64 / total as f64 <= bound
+        } else {
+            mismatches == 0
+        }
+    }
+
+    /// The reference's view of a running session.
+    struct Running {
+        machine: SessionMachine,
+        attempt: u32,
+        issued: usize,
+        backoff: u64,
+        last: Option<(usize, usize)>,
+    }
+
+    /// `base · 2^(attempt−1)`, saturating, capped — by repeated doubling.
+    fn reference_backoff(policy: &SessionPolicy, attempt: u32) -> u64 {
+        let mut ticks = policy.backoff_base_ticks;
+        for _ in 1..attempt {
+            ticks = ticks.saturating_mul(2);
+        }
+        ticks.min(policy.backoff_cap_ticks)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Drives the machine directly with random policies and random
+        /// start / exchange / reinstate / re-enroll sequences, against a
+        /// naive reference of the ladder rules.
+        #[test]
+        fn prop_machine_matches_naive_reference(policy in arb_policy(), ops in arb_ops()) {
+            let rounds = policy.rounds;
+            let mut chip = ChipSessionState::default();
+            let mut want = ChipSessionState::default();
+            let mut running: Option<Running> = None;
+            for op in ops {
+                let before = chip;
+                let mut accepted = false;
+                match op {
+                    Op::Start { fresh } if running.is_none() => {
+                        let mut machine = SessionMachine::default();
+                        let started = machine.start(7, &mut chip);
+                        if want.locked_out {
+                            assert!(matches!(
+                                started,
+                                Err(ProtocolError::ChipLockedOut { chip_id: 7, .. })
+                            ));
+                        } else {
+                            assert!(started.is_ok());
+                            want.sessions += 1;
+                            machine.begin_attempt();
+                            let fresh = fresh.min(rounds);
+                            machine.issued(rounds, fresh);
+                            running = Some(Running { machine, attempt: 1, issued: fresh, backoff: 0, last: None });
+                        }
+                    }
+                    Op::Exchange(exchanged) if running.is_some() => {
+                        let Some(mut r) = running.take() else { continue };
+                        // The reference's verdict: `None` while the attempt
+                        // failed without ending the session.
+                        let mut want_outcome = None;
+                        let step = match exchanged {
+                            Ok(mismatches) => {
+                                let mismatches = mismatches % (rounds + 1);
+                                r.last = Some((rounds, mismatches));
+                                if reference_accepts(policy.primary, rounds, mismatches) {
+                                    want_outcome = Some(SessionOutcome::Accepted);
+                                } else {
+                                    want.consecutive_failures =
+                                        want.consecutive_failures.saturating_add(1);
+                                    if want.consecutive_failures >= policy.lockout_threshold {
+                                        want.locked_out = true;
+                                        want_outcome = Some(SessionOutcome::LockedOut);
+                                    }
+                                }
+                                r.machine.delivered(&policy, &mut chip, rounds, mismatches).unwrap()
+                            }
+                            Err(kind) => r.machine.transport_failed(&policy, kind).unwrap(),
+                        };
+                        let mut want_retry = None;
+                        if want_outcome.is_none() {
+                            if r.attempt > policy.max_retries {
+                                want_outcome = Some(match (policy.fallback, r.last) {
+                                    (Some(fallback), Some((total, m)))
+                                        if reference_accepts(fallback, total, m) =>
+                                    {
+                                        SessionOutcome::Degraded
+                                    }
+                                    _ => SessionOutcome::Rejected,
+                                });
+                            } else {
+                                let ticks = reference_backoff(&policy, r.attempt);
+                                r.backoff = r.backoff.saturating_add(ticks);
+                                want_retry = Some(ticks);
+                            }
+                        }
+                        match step {
+                            Step::Retry(after) => {
+                                assert_eq!((Some(after), None), (want_retry, want_outcome));
+                                r.machine.begin_attempt();
+                                r.machine.issued(rounds, rounds);
+                                r.attempt += 1;
+                                r.issued += rounds;
+                                running = Some(r);
+                            }
+                            Step::Done(outcome) => {
+                                assert_eq!(Some(outcome), want_outcome);
+                                assert!(
+                                    !(outcome.grants_access() && chip.locked_out),
+                                    "a locked chip was granted access"
+                                );
+                                match outcome {
+                                    SessionOutcome::Accepted => {
+                                        want.consecutive_failures = 0;
+                                        want.clean_accepts += 1;
+                                        accepted = true;
+                                    }
+                                    SessionOutcome::Degraded => want.needs_reenrollment = true,
+                                    _ => {}
+                                }
+                                let report = r.machine.finish(outcome, &mut chip);
+                                assert_eq!(report.outcome, outcome);
+                                assert_eq!(report.attempts, r.attempt);
+                                assert!(report.attempts <= policy.max_retries + 1);
+                                assert_eq!(report.challenges_issued, r.issued);
+                                let scheduled = report.events.iter().fold(0u64, |sum, e| match e {
+                                    SessionEvent::BackoffScheduled { ticks, .. } => {
+                                        sum.saturating_add(*ticks)
+                                    }
+                                    _ => sum,
+                                });
+                                assert_eq!(report.backoff_ticks_total, scheduled);
+                                assert_eq!(report.backoff_ticks_total, r.backoff);
+                                assert_eq!(report.needs_reenrollment, want.needs_reenrollment);
+                                let judged = report
+                                    .last_verification
+                                    .map(|v| (v.challenges_used, v.mismatches));
+                                assert_eq!(judged, r.last);
+                            }
+                        }
+                    }
+                    Op::Reinstate => {
+                        chip.reinstate();
+                        want.locked_out = false;
+                        want.consecutive_failures = 0;
+                    }
+                    Op::Reenroll if running.is_none() => {
+                        chip.reenrolled();
+                        want.locked_out = false;
+                        want.consecutive_failures = 0;
+                        want.needs_reenrollment = false;
+                    }
+                    // Start mid-session, an exchange with no session, or a
+                    // re-enrollment mid-session: no driver issues these.
+                    _ => continue,
+                }
+                assert_eq!(chip, want, "after {op:?}");
+                let cleared = matches!(op, Op::Reinstate | Op::Reenroll);
+                if before.locked_out && !cleared {
+                    assert!(chip.locked_out, "lockout lifted by {op:?}");
+                }
+                if chip.consecutive_failures < before.consecutive_failures {
+                    assert!(cleared || accepted, "failures reset by {op:?}");
+                }
+                if let Some(r) = &running {
+                    assert_eq!(r.machine.attempt, r.attempt);
+                    assert!(r.machine.attempt <= policy.max_retries + 1);
+                    assert_eq!(r.machine.issued, r.issued);
+                }
+            }
+        }
     }
 }

@@ -12,7 +12,6 @@ use rand::{Rng, SeedableRng};
 
 /// Fabrication parameters for a [`Chip`].
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChipConfig {
     /// Delay stages per arbiter PUF (the paper's chips have 32).
     pub stages: usize,
@@ -84,7 +83,6 @@ impl Default for ChipConfig {
 ///
 /// See the crate-level docs for an end-to-end example.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Chip {
     id: u32,
     pufs: Vec<ArbiterPuf>,
@@ -595,7 +593,6 @@ impl Chip {
 
 /// A fabrication lot of chips — the paper tests 10.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChipLot {
     chips: Vec<Chip>,
 }

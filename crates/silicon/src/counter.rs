@@ -20,7 +20,6 @@ use std::fmt;
 /// The measured soft response is `count / evals`; the CRP is *100 % stable*
 /// iff every evaluation agreed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SoftResponse {
     count: u64,
     evals: u64,

@@ -8,7 +8,6 @@ use rand::Rng;
 /// A set of hard challenge-response pairs (the attacker's view of an XOR
 /// PUF, or a single PUF's hard responses).
 #[derive(Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CrpSet {
     challenges: Vec<Challenge>,
     responses: Vec<bool>,
@@ -127,7 +126,6 @@ impl FromIterator<(Challenge, bool)> for CrpSet {
 /// A set of soft challenge-response pairs (counter measurements), the raw
 /// material of enrollment model fitting.
 #[derive(Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SoftCrpSet {
     challenges: Vec<Challenge>,
     softs: Vec<SoftResponse>,

@@ -30,7 +30,6 @@ pub enum FuseSense {
 /// Starts intact; [`FuseBank::blow`] is irreversible. The chip consults the
 /// bank before serving any individual-response measurement.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FuseBank {
     blown: bool,
     blow_count: u32,

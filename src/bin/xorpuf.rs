@@ -39,6 +39,12 @@ use xorpuf::silicon::{Chip, ChipConfig};
 /// Flags that take no value (`--telemetry=PATH` opts into one inline).
 const VALUELESS_FLAGS: &[&str] = &["impostor", "all-conditions", "telemetry", "trace"];
 
+/// Largest `--count` accepted. Selection reserves one slot per requested
+/// challenge up front, so an unbounded count aborts on a capacity overflow
+/// or a multi-terabyte allocation; 2^20 challenges is far beyond any
+/// authentication round and still allocates only tens of megabytes.
+const MAX_COUNT: usize = 1 << 20;
+
 /// The flags each command understands; anything else is an error.
 fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
     Some(match command {
@@ -122,6 +128,17 @@ impl Args {
         }
     }
 
+    /// `--count`, bounded by [`MAX_COUNT`].
+    fn count(&self, default: usize) -> Result<usize, String> {
+        let count: usize = self.get("count", default)?;
+        if count > MAX_COUNT {
+            return Err(format!(
+                "--count: {count} exceeds the maximum of {MAX_COUNT}"
+            ));
+        }
+        Ok(count)
+    }
+
     fn require(&self, name: &str) -> Result<&str, String> {
         self.flags
             .get(name)
@@ -188,7 +205,7 @@ fn cmd_enroll(args: &Args) -> Result<(), String> {
 fn cmd_select(args: &Args) -> Result<(), String> {
     let db = args.require("db")?;
     let chip_id: u32 = args.get("chip-id", 0)?;
-    let count: usize = args.get("count", 16)?;
+    let count = args.count(16)?;
     let server = load_db(db)?;
     let mut rng = StdRng::seed_from_u64(args.get("seed", 2)?);
     let picks = server
@@ -210,7 +227,7 @@ fn cmd_authenticate(args: &Args) -> Result<(), String> {
     let db = args.require("db")?;
     let chip_seed: u64 = args.get("chip-seed", 0)?;
     let chip_id: u32 = args.get("chip-id", 0)?;
-    let count: usize = args.get("count", 32)?;
+    let count = args.count(32)?;
     let vdd: f64 = args.get("vdd", 0.9)?;
     let temp: f64 = args.get("temp", 25.0)?;
     let server = load_db(db)?;

@@ -143,6 +143,17 @@ fn malformed_invocations_fail_cleanly() {
 
     let out = xorpuf(&["authenticate", "--db", "/nonexistent/nope.xpuf"]);
     assert!(!out.status.success());
+
+    // Hostile counts: a capacity overflow and a 52 TB reservation must be
+    // refused up front with the usual error, not a panic or an abort.
+    for command in ["select", "authenticate"] {
+        for count in ["18446744073709551615", "1099511627776"] {
+            let out = xorpuf(&[command, "--db", "/nonexistent/nope.xpuf", "--count", count]);
+            assert_eq!(out.status.code(), Some(1), "{command} --count {count}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("error: --count"), "{command}: {stderr}");
+        }
+    }
 }
 
 #[test]
