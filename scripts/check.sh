@@ -47,6 +47,20 @@ cmp target/CHAOS_trace.json target/CHAOS_trace.rerun.json
 cmp target/CHAOS_trace.json.folded target/CHAOS_trace.rerun.json.folded
 cargo xtask trace-check target/CHAOS_trace.json
 
+echo "==> figure identity: deterministic fig/ext/ablation bins regenerate results/ byte for byte"
+# Each bin below runs at default scale in about a second and prints only
+# seeded results, so any change to a measurement or selection path that moves
+# a single draw shows up as a diff. fig04, fig10, ext_reliability and
+# ablation_optimizer are regenerated into results/ the same way but are not
+# compared: they print wall-clock columns (training/fit times, attack
+# seconds). ablation_features (about ten seconds) and fig04_large (a
+# 500,000-challenge run of fig04) are left out to keep the gate fast.
+mkdir -p target/figcheck
+for bin in fig02 fig03 fig05_07 fig08 fig09 fig11 fig12 ext_aging ablation_estimator ablation_salvage; do
+    target/release/"$bin" > target/figcheck/"$bin".txt
+    cmp target/figcheck/"$bin".txt results/"$bin".txt
+done
+
 echo "==> trillion smoke: bit-sliced replay harness end-to-end (tiny dims, no gate)"
 cargo run -q --release -p puf-bench --bin trillion -- --smoke
 
