@@ -59,6 +59,17 @@ pub fn normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2)
 }
 
+/// Where [`normal_cdf`] saturates for the XOR piling-up factor: for
+/// `|x| ≥ SATURATED_X`, `1.0 − 2.0 · normal_cdf(x)` is exactly `−1.0` for
+/// positive `x` and exactly `+1.0` for negative `x`.
+///
+/// On this module's [`erfc`] the factor is last different from `∓1` at
+/// x = +8.292 (above it `normal_cdf` rounds to exactly 1.0) and x = −8.374
+/// (below it `2·normal_cdf(x)` is under half an ulp of 1.0). A threshold of
+/// 10 sits 19 % beyond the farther point, so an `x` computed with a few ulps
+/// of rounding from an argument proven to exceed 10 is still saturated.
+pub const SATURATED_X: f64 = 10.0;
+
 /// Standard normal probability density function `φ(x)`.
 pub fn normal_pdf(x: f64) -> f64 {
     const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
@@ -256,6 +267,23 @@ mod tests {
             assert!(v < prev, "erfc not decreasing at {i}");
             prev = v;
         }
+    }
+
+    #[test]
+    fn piling_up_factor_is_exact_beyond_saturated_x() {
+        let factor = |x: f64| 1.0 - 2.0 * normal_cdf(x);
+        let step = 1e-4;
+        let mut x = SATURATED_X;
+        while x <= 60.0 {
+            assert_eq!(factor(x).to_bits(), (-1.0f64).to_bits(), "x = {x}");
+            assert_eq!(factor(-x).to_bits(), 1.0f64.to_bits(), "x = -{x}");
+            x += step;
+        }
+        assert_eq!(factor(f64::MAX), -1.0);
+        assert_eq!(factor(-f64::MAX), 1.0);
+        // Below 8.29 the factor is not yet saturated, so the threshold is
+        // not vacuous.
+        assert!(factor(8.2) > -1.0 && factor(-8.3) < 1.0);
     }
 
     #[test]

@@ -121,6 +121,23 @@ fn binomial_inversion<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
     k
 }
 
+/// SplitMix64's finaliser: the 64-bit mixer under [`gaussian_hash`] and
+/// [`gaussian_hash_bound`].
+#[inline]
+fn splitmix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The first hash word of `(seed, x)`; it alone fixes the Box–Muller
+/// radius of [`gaussian_hash`].
+#[inline]
+fn radius_word(seed: u64, x: u128) -> u64 {
+    splitmix(seed ^ splitmix(x as u64))
+}
+
 /// A deterministic standard-normal value derived by hashing `(seed, x)` —
 /// a "frozen Gaussian field" over a 128-bit index space.
 ///
@@ -131,18 +148,42 @@ fn binomial_inversion<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
 /// can learn it.
 pub fn gaussian_hash(seed: u64, x: u128) -> f64 {
     // SplitMix64 over the three words, then Box–Muller from two uniforms.
-    fn splitmix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    let h1 = splitmix(seed ^ splitmix(x as u64));
+    let h1 = radius_word(seed, x);
     let h2 = splitmix(h1 ^ splitmix((x >> 64) as u64));
+    box_muller(h1, h2)
+}
+
+/// Box–Muller from two hash words: radius from `h1`, angle from `h2`.
+fn box_muller(h1: u64, h2: u64) -> f64 {
     // Map to (0,1); keep u1 strictly positive for the log.
     let u1 = ((h1 >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
     let u2 = (h2 >> 11) as f64 / (1u64 << 53) as f64;
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Relative widening of [`gaussian_hash_bound`] over the exact radius bound,
+/// so the few ulps of rounding in `ln`, `sqrt` and the final product can
+/// never carry a computed `|gaussian_hash|` past it.
+const RADIUS_SLACK: f64 = 1.0 + 1.0 / (1u64 << 30) as f64;
+
+/// An upper bound on `|gaussian_hash(seed, x)|` that costs two SplitMix64
+/// rounds, a leading-zero count and one square root — no `ln`, no `cos`.
+///
+/// The Box–Muller radius is `√(−2 ln u₁)` with `u₁ = (m + 1) / 2⁵³`, where
+/// `m = h₁ >> 11` is a 53-bit integer. If `m` has `lz` leading zeros
+/// within those 53 bits, then `m ≥ 2^(52 − lz)` (or `m = 0` and `lz = 53`),
+/// so `u₁ ≥ 2^−(lz + 1)` and `|g| ≤ √(2 ln 2 · (lz + 1))`. Half of all
+/// inputs have `lz = 0` and a bound of ≈ 1.18.
+#[inline]
+pub fn gaussian_hash_bound(seed: u64, x: u128) -> f64 {
+    radius_bound(radius_word(seed, x))
+}
+
+/// [`gaussian_hash_bound`] from the first hash word.
+#[inline]
+fn radius_bound(h1: u64) -> f64 {
+    let lz = (h1 >> 11).leading_zeros() - 11;
+    (f64::from(lz + 1) * (2.0 * std::f64::consts::LN_2)).sqrt() * RADIUS_SLACK
 }
 
 /// Samples the *measured soft response* `k/n` of an `n`-evaluation counter
@@ -256,5 +297,46 @@ mod tests {
         let var = sq / n as f64 - mean * mean;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
+    }
+
+    #[test]
+    fn gaussian_hash_bound_covers_random_inputs() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for _ in 0..1_000_000 {
+            let (seed, x): (u64, u128) = (rng.gen(), rng.gen());
+            let (g, bound) = (gaussian_hash(seed, x), gaussian_hash_bound(seed, x));
+            assert!(bound >= g.abs(), "seed {seed} x {x}: |{g}| > {bound}");
+        }
+    }
+
+    #[test]
+    fn radius_bound_holds_at_the_edge_of_each_leading_zero_count() {
+        // The tightest inputs: m = h1 >> 11 at the smallest value with `lz`
+        // leading zeros (so u1 is as close to 2^-(lz+1) as it gets), and an
+        // angle word giving cos = +1 (h2 = 0) or cos = -1 (u2 = 1/2).
+        for lz in [0u32, 1, 52] {
+            let m = 1u64 << (52 - lz);
+            for low in [0, (1 << 11) - 1] {
+                let h1 = (m << 11) | low;
+                assert_eq!((h1 >> 11).leading_zeros() - 11, lz);
+                for h2 in [0, 1u64 << 63] {
+                    let g = box_muller(h1, h2);
+                    let bound = radius_bound(h1);
+                    assert!(bound >= g.abs(), "lz {lz}: |{g}| > {bound}");
+                    // These inputs sit on the edge: u1 is 2^-(lz+1) to within
+                    // a relative 2^(lz-52), so the bound is nearly attained.
+                    if lz < 52 {
+                        assert!(bound - g.abs() < bound * 1e-6, "lz {lz}: {g} vs {bound}");
+                    }
+                }
+            }
+        }
+        // m = 0 (all 53 bits zero) gives the largest radius of all.
+        let g = box_muller(0, 0);
+        assert!(
+            radius_bound(0) >= g && g > 8.5,
+            "{g} vs {}",
+            radius_bound(0)
+        );
     }
 }

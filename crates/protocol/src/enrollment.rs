@@ -172,8 +172,9 @@ impl EnrolledChip {
 ///
 /// # Errors
 ///
-/// - [`ProtocolError::Silicon`] if the fuses are already blown or the chip
-///   rejects a measurement.
+/// - [`ProtocolError::Silicon`] if the fuses are already blown, the XOR
+///   width is 0 or exceeds the chip's bank, or the chip rejects a
+///   measurement.
 /// - [`ProtocolError::DegenerateTraining`] if a member PUF's training data
 ///   cannot produce thresholds (all measurements saturated one way).
 /// - [`ProtocolError::BetaFitFailed`] if no β tightening filters the
@@ -202,6 +203,12 @@ pub fn enroll_with_challenges<R: Rng + ?Sized>(
     validation: &[Challenge],
     rng: &mut R,
 ) -> Result<EnrolledChip, ProtocolError> {
+    if config.n == 0 || config.n > chip.bank_size() {
+        return Err(ProtocolError::Silicon(SiliconError::XorWidthOutOfRange {
+            n: config.n,
+            bank_size: chip.bank_size(),
+        }));
+    }
     if training.is_empty() {
         return Err(ProtocolError::DegenerateTraining { puf: 0 });
     }
@@ -326,8 +333,9 @@ fn features_for(chip: &Chip, challenges: &[Challenge]) -> Result<FeatureMatrix, 
 /// `(prediction, measured-stable-0, measured-stable-1)` per challenge —
 /// enrollment-only (individual-PUF) measurements, batched.
 ///
-/// The ground-truth probabilities come from one batched kernel pass per
-/// condition; the counter draws then replay the scalar order (challenge
+/// The ground-truth probabilities come from one grid call (one bit-sliced
+/// kernel pass per condition, the mismatch term hashed once); the counter
+/// draws then replay the scalar order (challenge
 /// outer, condition inner, early break once both stabilities are lost), so
 /// seeded results are bit-identical to per-challenge measurement.
 fn stability_triples<R: Rng + ?Sized>(
@@ -342,10 +350,7 @@ fn stability_triples<R: Rng + ?Sized>(
     if !chip.fuses_intact() {
         return Err(ProtocolError::Silicon(SiliconError::FusesBlown));
     }
-    let cond_probs = conditions
-        .iter()
-        .map(|&cond| chip.ground_truth_soft_batch(puf, features, cond))
-        .collect::<Result<Vec<_>, _>>()?;
+    let cond_probs = chip.ground_truth_soft_grid(puf, features, conditions)?;
     let preds = model.predict_batch(features.challenges());
     let mut draws = 0u64;
     let mut triples = Vec::with_capacity(features.len());
@@ -401,6 +406,29 @@ mod tests {
         chip.blow_fuses();
         let err = enroll(&chip, &EnrollmentConfig::small(2), &mut rng).unwrap_err();
         assert_eq!(err, ProtocolError::Silicon(SiliconError::FusesBlown));
+    }
+
+    #[test]
+    fn enrollment_rejects_bad_xor_width_before_measuring() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let chip = Chip::fabricate(0, &ChipConfig::small(), &mut rng);
+        for n in [0, chip.bank_size() + 1] {
+            let config = EnrollmentConfig::small(n);
+            let before = rng.clone();
+            let err = enroll(&chip, &config, &mut rng).unwrap_err();
+            assert_eq!(
+                err,
+                ProtocolError::Silicon(SiliconError::XorWidthOutOfRange {
+                    n,
+                    bank_size: chip.bank_size(),
+                })
+            );
+            // Only the challenge draws happened: no member was measured.
+            let mut replay = before;
+            let drawn = config.training_size + config.validation_size;
+            random_challenges(chip.stages(), drawn, &mut replay);
+            assert_eq!(rng, replay, "n = {n}");
+        }
     }
 
     #[test]

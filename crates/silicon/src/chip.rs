@@ -4,6 +4,8 @@ use crate::counter::{self, SoftResponse};
 use crate::fuse::FuseBank;
 use crate::SiliconError;
 use puf_core::batch::{throughput_guard, FeatureMatrix};
+use puf_core::math::{normal_cdf, SATURATED_X};
+use puf_core::rngx;
 use puf_core::{
     AgingModel, ArbiterPuf, Challenge, Condition, DriftVector, Environment, NoiseModel, Sensitivity,
 };
@@ -294,32 +296,15 @@ impl Chip {
     ) -> Result<f64, SiliconError> {
         self.check_puf(puf)?;
         self.check_challenge(challenge)?;
-        let aged = if self.age_hours > 0.0 {
-            self.drifts[puf].aged_puf(&self.pufs[puf], &self.aging, self.age_hours)
-        } else {
-            self.pufs[puf].clone()
-        };
-        let adjusted = self
-            .environment
-            .puf_at(&aged, &self.sensitivities[puf], cond);
+        let adjusted = self.adjusted_puf(&self.aged_puf(puf), puf, cond);
         let delta = adjusted.delay_difference(challenge)
             + self.model_mismatch_sigma
-                * puf_core::rngx::gaussian_hash(self.mismatch_nonces[puf], challenge.bits());
+                * rngx::gaussian_hash(self.mismatch_nonces[puf], challenge.bits());
         Ok(self.noise_at(cond).soft_response(delta))
     }
 
-    /// Batched [`Chip::ground_truth_soft`] over a whole feature matrix:
-    /// the condition-adjusted (and aged) PUF is built **once** for the batch
-    /// and its deltas run through the bit-sliced kernel
-    /// ([`puf_core::bitslice`], widest available SIMD lane), instead of
-    /// paying the clone + adjustment per challenge. Bit-identical to the
-    /// scalar call per row — the bit-sliced kernel reproduces the scalar
-    /// summation order exactly.
-    ///
-    /// This is the hot loop of every counter sweep
-    /// ([`Chip::measure_xor_soft_batch`], the testbench soft sweeps and the
-    /// trillion-replay bench), so it reports throughput under
-    /// `eval.bitslice.*` rather than `eval.batch.*`.
+    /// Batched [`Chip::ground_truth_soft`] over a whole feature matrix: the
+    /// one-condition case of [`Chip::ground_truth_soft_grid`].
     ///
     /// # Errors
     ///
@@ -330,28 +315,72 @@ impl Chip {
         features: &FeatureMatrix,
         cond: Condition,
     ) -> Result<Vec<f64>, SiliconError> {
+        let mut grid = self.ground_truth_soft_grid(puf, features, &[cond])?;
+        Ok(grid.pop().unwrap_or_default())
+    }
+
+    /// [`Chip::ground_truth_soft`] for every row of a feature matrix at each
+    /// condition in `conds`, one vector per condition. The aged PUF and the
+    /// condition-independent model-mismatch term `σ_m · gaussian_hash` are
+    /// computed **once** and reused for every condition; each condition then
+    /// pays one PUF adjustment and one pass of the bit-sliced delta kernel
+    /// ([`puf_core::bitslice`], widest available SIMD lane). Bit-identical
+    /// to the scalar call per row and condition — the bit-sliced kernel
+    /// reproduces the scalar summation order exactly.
+    ///
+    /// This is the hot loop of enrollment's V/T validation and the testbench
+    /// soft sweeps, so it reports throughput under `eval.bitslice.*` rather
+    /// than `eval.batch.*`.
+    ///
+    /// # Errors
+    ///
+    /// Bad index or stage mismatch.
+    pub fn ground_truth_soft_grid(
+        &self,
+        puf: usize,
+        features: &FeatureMatrix,
+        conds: &[Condition],
+    ) -> Result<Vec<Vec<f64>>, SiliconError> {
         self.check_puf(puf)?;
         self.check_feature_stages(features)?;
         let _span = puf_telemetry::span!("eval.bitslice");
-        let _throughput = throughput_guard("eval.bitslice", features.len());
-        let aged = if self.age_hours > 0.0 {
+        let _throughput = throughput_guard("eval.bitslice", features.len() * conds.len());
+        let aged = self.aged_puf(puf);
+        let nonce = self.mismatch_nonces[puf];
+        let mismatch: Vec<f64> = features
+            .challenges()
+            .iter()
+            .map(|c| self.model_mismatch_sigma * rngx::gaussian_hash(nonce, c.bits()))
+            .collect();
+        Ok(conds
+            .iter()
+            .map(|&cond| {
+                let noise = self.noise_at(cond);
+                let mut out = vec![0.0f64; features.len()];
+                self.adjusted_puf(&aged, puf, cond)
+                    .delta_batch_into_bitsliced(features, &mut out);
+                for (d, m) in out.iter_mut().zip(&mismatch) {
+                    *d = noise.soft_response(*d + m);
+                }
+                out
+            })
+            .collect())
+    }
+
+    /// PUF `puf` after the chip's accumulated aging (a plain copy when
+    /// fresh).
+    fn aged_puf(&self, puf: usize) -> ArbiterPuf {
+        if self.age_hours > 0.0 {
             self.drifts[puf].aged_puf(&self.pufs[puf], &self.aging, self.age_hours)
         } else {
             self.pufs[puf].clone()
-        };
-        let adjusted = self
-            .environment
-            .puf_at(&aged, &self.sensitivities[puf], cond);
-        let noise = self.noise_at(cond);
-        let mut out = vec![0.0f64; features.len()];
-        adjusted.delta_batch_into_bitsliced(features, &mut out);
-        let nonce = self.mismatch_nonces[puf];
-        for (d, c) in out.iter_mut().zip(features.challenges()) {
-            let delta =
-                *d + self.model_mismatch_sigma * puf_core::rngx::gaussian_hash(nonce, c.bits());
-            *d = noise.soft_response(delta);
         }
-        Ok(out)
+    }
+
+    /// `aged` (PUF `puf` from [`Chip::aged_puf`]) adjusted to `cond`.
+    fn adjusted_puf(&self, aged: &ArbiterPuf, puf: usize, cond: Condition) -> ArbiterPuf {
+        self.environment
+            .puf_at(aged, &self.sensitivities[puf], cond)
     }
 
     /// One noisy evaluation of an individual PUF — **enrollment only**.
@@ -511,7 +540,9 @@ impl Chip {
         let _span = puf_telemetry::span!("eval.batch");
         let _throughput = throughput_guard("eval.batch", features.len());
         puf_telemetry::counter!("core.eval.count").add(features.len() as u64);
-        let member_probs = self.member_probs(n, features, cond)?;
+        let member_probs = (0..n)
+            .map(|puf| self.ground_truth_soft_batch(puf, features, cond))
+            .collect::<Result<Vec<_>, _>>()?;
         let rows = features.len();
         Ok((0..rows)
             .map(|i| {
@@ -525,6 +556,12 @@ impl Chip {
     /// Batched [`Chip::measure_xor_soft`] over a whole feature matrix. The
     /// counter draws happen in row order, so with the same RNG state the
     /// result is bit-identical to calling the scalar method per challenge.
+    ///
+    /// The member loop is fused: one running piling-up product per row,
+    /// multiplied by each member's factor `1 − 2p` in member order (the
+    /// scalar method's multiplication sequence), and one reused delta
+    /// buffer. A member whose factor is already `∓1` skips the work that
+    /// cannot change it (the private `clears_mismatch` and `hashed_factor`).
     ///
     /// # Errors
     ///
@@ -546,27 +583,50 @@ impl Chip {
         let _span = puf_telemetry::span!("silicon.measure.xor");
         let _trace = puf_telemetry::trace_span!("silicon.measure.xor");
         puf_telemetry::counter!("silicon.measure.evals").add(evals * features.len() as u64);
-        let member_probs = self.member_probs(n, features, cond)?;
-        Ok((0..features.len())
-            .map(|i| {
-                // P(xor = 1) via the piling-up identity, members in order.
-                let prod = (0..n).fold(1.0, |prod, puf| prod * (1.0 - 2.0 * member_probs[puf][i]));
-                counter::measure((1.0 - prod) / 2.0, evals, rng)
-            })
+        let rows = features.len();
+        let challenges = features.challenges();
+        let sigma = self.noise_at(cond).sigma();
+        let mismatch_sigma = self.model_mismatch_sigma;
+        let mut prod = vec![1.0f64; rows];
+        let mut delta = vec![0.0f64; rows];
+        // The current member's rows that fail the pre-check. The pre-check
+        // is close to a coin flip per row, so its outcome never becomes a
+        // branch: a mispredict every other row would expose the bound's
+        // whole latency chain. Pending rows are compacted arithmetically,
+        // and a cleared row's factor `∓1` is applied as a sign flip of the
+        // product's bits, which is exactly what multiplying by it does.
+        let mut pending = vec![0usize; rows];
+        let mut saturated = 0u64;
+        for puf in 0..n {
+            let _span = puf_telemetry::span!("eval.bitslice");
+            let _throughput = throughput_guard("eval.bitslice", rows);
+            self.adjusted_puf(&self.aged_puf(puf), puf, cond)
+                .delta_batch_into_bitsliced(features, &mut delta);
+            let nonce = self.mismatch_nonces[puf];
+            // P(xor = 1) via the piling-up identity, members in order: each
+            // row takes one factor per member, here if it clears the
+            // pre-check and in the pending pass below otherwise.
+            let mut len = 0;
+            for (i, ((p, &d), c)) in prod.iter_mut().zip(&delta).zip(challenges).enumerate() {
+                let clear = clears_mismatch(d, sigma, mismatch_sigma, nonce, c.bits());
+                let flip = u64::from(clear & (d > 0.0)) << 63;
+                *p = f64::from_bits(p.to_bits() ^ flip);
+                pending[len] = i;
+                len += usize::from(!clear);
+            }
+            saturated += (rows - len) as u64;
+            for &i in &pending[..len] {
+                let (factor, clipped) =
+                    hashed_factor(delta[i], sigma, mismatch_sigma, nonce, challenges[i].bits());
+                prod[i] *= factor;
+                saturated += u64::from(clipped);
+            }
+        }
+        puf_telemetry::counter!("silicon.measure.xor_saturated").add(saturated);
+        Ok(prod
+            .into_iter()
+            .map(|prod| counter::measure((1.0 - prod) / 2.0, evals, rng))
             .collect())
-    }
-
-    /// Per-member soft-response vectors for the first `n` PUFs, one
-    /// [`Chip::ground_truth_soft_batch`] each.
-    fn member_probs(
-        &self,
-        n: usize,
-        features: &FeatureMatrix,
-        cond: Condition,
-    ) -> Result<Vec<Vec<f64>>, SiliconError> {
-        (0..n)
-            .map(|puf| self.ground_truth_soft_batch(puf, features, cond))
-            .collect()
     }
 
     /// Noiseless (majority) XOR response — convenience ground truth used by
@@ -589,6 +649,31 @@ impl Chip {
         }
         Ok(acc)
     }
+}
+
+/// Pre-check (a) of the saturation shortcut for one member-row with
+/// bit-sliced delay difference `d`: whether `|d|` clears `SATURATED_X·σ` by
+/// more than the largest model mismatch `σ_m·|g|` the row can draw
+/// ([`rngx::gaussian_hash_bound`]). If so, `x = (d + σ_m·g)/σ` has the sign
+/// of `d` and `|x| > SATURATED_X`, so the factor `1 − 2·Φ(x)` is exactly
+/// `−sign(d)` (see [`SATURATED_X`]) and neither the hash nor `erfc` is
+/// needed.
+fn clears_mismatch(d: f64, sigma: f64, mismatch_sigma: f64, nonce: u64, bits: u128) -> bool {
+    d.abs() - SATURATED_X * sigma > mismatch_sigma * rngx::gaussian_hash_bound(nonce, bits)
+}
+
+/// The piling-up factor `1 − 2p` of a member-row that failed
+/// [`clears_mismatch`], and whether the post-check (b) produced it. `x` is
+/// computed exactly as [`NoiseModel::soft_response`] computes its
+/// argument; if `|x| ≥ SATURATED_X` the factor is exactly `−sign(x)` and
+/// `erfc` is skipped, otherwise it is `1 − 2·normal_cdf(x)` as in the
+/// scalar path.
+fn hashed_factor(d: f64, sigma: f64, mismatch_sigma: f64, nonce: u64, bits: u128) -> (f64, bool) {
+    let x = (d + mismatch_sigma * rngx::gaussian_hash(nonce, bits)) / sigma;
+    if x.abs() >= SATURATED_X {
+        return (-x.signum(), true);
+    }
+    (1.0 - 2.0 * normal_cdf(x), false)
 }
 
 /// A fabrication lot of chips — the paper tests 10.
@@ -866,6 +951,130 @@ mod tests {
                 .unwrap();
             assert_eq!(*got, want);
         }
+    }
+
+    /// Chips whose member-rows straddle the saturation shortcut: the paper
+    /// noise, a tiny σ (nearly everything saturates before the hash), no
+    /// mismatch (the pre-check is exact), and a mismatch σ far above the
+    /// noise (the post-check decides).
+    fn straddling_chips() -> Vec<Chip> {
+        let small = ChipConfig::small();
+        let configs = [
+            small.clone(),
+            ChipConfig {
+                noise: NoiseModel::new(1e-3, 1_000),
+                ..small.clone()
+            },
+            small.clone().with_model_mismatch(0.0),
+            ChipConfig {
+                noise: NoiseModel::new(0.02, 1_000),
+                ..small.with_model_mismatch(0.5)
+            },
+        ];
+        let mut rng = StdRng::seed_from_u64(20);
+        configs
+            .iter()
+            .flat_map(|config| {
+                let fresh = Chip::fabricate(0, config, &mut rng);
+                let mut aged = fresh.clone();
+                aged.set_age(20_000.0);
+                [fresh, aged]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fused_xor_measurement_replays_scalar_on_straddling_chips() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let cs: Vec<Challenge> = (0..48).map(|_| Challenge::random(16, &mut rng)).collect();
+        let fm = FeatureMatrix::from_challenges(&cs).unwrap();
+        for (k, chip) in straddling_chips().iter().enumerate() {
+            for cond in Condition::paper_grid() {
+                for n in 1..=chip.bank_size() {
+                    let seed = 22 + k as u64;
+                    let batch = chip
+                        .measure_xor_soft_batch(
+                            n,
+                            &fm,
+                            cond,
+                            1_000,
+                            &mut StdRng::seed_from_u64(seed),
+                        )
+                        .unwrap();
+                    let mut scalar_rng = StdRng::seed_from_u64(seed);
+                    for (c, got) in cs.iter().zip(&batch) {
+                        let want = chip
+                            .measure_xor_soft(n, c, cond, 1_000, &mut scalar_rng)
+                            .unwrap();
+                        assert_eq!(*got, want, "chip {k}, {cond}, n = {n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shortcut_factors_are_the_unshortcut_factor_bit_for_bit() {
+        // Dense deltas on both sides of ±SATURATED_X·σ, widened by the
+        // mismatch reach, for both shortcut stages: every factor must equal
+        // the plain `1 − 2·soft_response` to the bit.
+        let (mut pre, mut post, mut erfc) = (0, 0, 0);
+        for (sigma, mismatch_sigma) in [(0.05, 0.0), (0.05, 0.09), (0.01, 0.5), (1e-6, 2.0)] {
+            let noise = NoiseModel::new(sigma, 1_000);
+            for row in 0..20_000u64 {
+                let bits = u128::from(row.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let nonce = 0xC0FFEE ^ row;
+                let reach = mismatch_sigma * rngx::gaussian_hash_bound(nonce, bits);
+                let edge = SATURATED_X * sigma + reach;
+                let d = edge
+                    * (0.5 + row as f64 / 10_000.0 * 0.75)
+                    * if row % 2 == 0 { 1.0 } else { -1.0 };
+                let factor = if clears_mismatch(d, sigma, mismatch_sigma, nonce, bits) {
+                    pre += 1;
+                    -d.signum()
+                } else {
+                    let (factor, clipped) = hashed_factor(d, sigma, mismatch_sigma, nonce, bits);
+                    if clipped {
+                        post += 1;
+                    } else {
+                        erfc += 1;
+                    }
+                    factor
+                };
+                let delta = d + mismatch_sigma * rngx::gaussian_hash(nonce, bits);
+                let want = 1.0 - 2.0 * noise.soft_response(delta);
+                assert_eq!(
+                    factor.to_bits(),
+                    want.to_bits(),
+                    "σ {sigma} σ_m {mismatch_sigma} d {d}"
+                );
+            }
+        }
+        assert!(pre > 0 && post > 0 && erfc > 0, "{pre} {post} {erfc}");
+    }
+
+    #[test]
+    fn ground_truth_soft_grid_replays_scalar_per_condition() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let cs: Vec<Challenge> = (0..40).map(|_| Challenge::random(16, &mut rng)).collect();
+        let fm = FeatureMatrix::from_challenges(&cs).unwrap();
+        let conds = Condition::paper_grid();
+        for chip in straddling_chips() {
+            for puf in 0..chip.bank_size() {
+                let grid = chip.ground_truth_soft_grid(puf, &fm, &conds).unwrap();
+                assert_eq!(grid.len(), conds.len());
+                for (&cond, probs) in conds.iter().zip(&grid) {
+                    for (c, p) in cs.iter().zip(probs) {
+                        let want = chip.ground_truth_soft(puf, c, cond).unwrap();
+                        assert_eq!(p.to_bits(), want.to_bits());
+                    }
+                }
+            }
+        }
+        assert!(test_chip(24)
+            .ground_truth_soft_grid(0, &fm, &[])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

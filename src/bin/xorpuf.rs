@@ -45,6 +45,27 @@ const VALUELESS_FLAGS: &[&str] = &["impostor", "all-conditions", "telemetry", "t
 /// authentication round and still allocates only tens of megabytes.
 const MAX_COUNT: usize = 1 << 20;
 
+/// Supply voltages `--vdd` accepts, in volts. The noise model divides by
+/// the supply (squared), so zero, negative and NaN supplies panic inside it
+/// and a supply near zero overflows its σ; the range spans the paper's
+/// 0.8–1.0 V corners many times over in each direction.
+const VDD_RANGE_V: (f64, f64) = (0.1, 10.0);
+
+/// Temperatures `--temp` accepts, in °C: above absolute zero (the noise
+/// model takes the root of the absolute temperature) and at most 1000 °C,
+/// which keeps the derived delay and noise scales finite.
+const TEMP_RANGE_C: (f64, f64) = (-273.15, 1000.0);
+
+/// Repetition-code length of `keygen`'s fuzzy extractor: each key bit is
+/// read through this many selected challenges.
+const KEY_REPETITION: usize = 3;
+
+/// Largest `--bits` accepted. Key generation selects `bits × KEY_REPETITION`
+/// challenges, so the bound keeps that product within [`MAX_COUNT`]: an
+/// unbounded value overflows the product or aborts on an exabyte-scale
+/// allocation, and zero bits is no key at all.
+const MAX_KEY_BITS: usize = MAX_COUNT / KEY_REPETITION;
+
 /// The flags each command understands; anything else is an error.
 fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
     Some(match command {
@@ -139,6 +160,35 @@ impl Args {
         Ok(count)
     }
 
+    /// `--bits`, bounded to `1..=MAX_KEY_BITS`.
+    fn key_bits(&self, default: usize) -> Result<usize, String> {
+        let bits: usize = self.get("bits", default)?;
+        if !(1..=MAX_KEY_BITS).contains(&bits) {
+            return Err(format!("--bits: {bits} is outside 1..={MAX_KEY_BITS}"));
+        }
+        Ok(bits)
+    }
+
+    /// `--vdd` and `--temp`, bounded to [`VDD_RANGE_V`] and
+    /// [`TEMP_RANGE_C`].
+    fn condition(&self) -> Result<Condition, String> {
+        let vdd: f64 = self.get("vdd", 0.9)?;
+        if !(VDD_RANGE_V.0..=VDD_RANGE_V.1).contains(&vdd) {
+            return Err(format!(
+                "--vdd: {vdd} V is outside the simulated range {}..={} V",
+                VDD_RANGE_V.0, VDD_RANGE_V.1
+            ));
+        }
+        let temp: f64 = self.get("temp", 25.0)?;
+        if !(temp > TEMP_RANGE_C.0 && temp <= TEMP_RANGE_C.1) {
+            return Err(format!(
+                "--temp: {temp} °C is outside the simulated range ({}, {}] °C",
+                TEMP_RANGE_C.0, TEMP_RANGE_C.1
+            ));
+        }
+        Ok(Condition::new(vdd, temp))
+    }
+
     fn require(&self, name: &str) -> Result<&str, String> {
         self.flags
             .get(name)
@@ -228,14 +278,12 @@ fn cmd_authenticate(args: &Args) -> Result<(), String> {
     let chip_seed: u64 = args.get("chip-seed", 0)?;
     let chip_id: u32 = args.get("chip-id", 0)?;
     let count = args.count(32)?;
-    let vdd: f64 = args.get("vdd", 0.9)?;
-    let temp: f64 = args.get("temp", 25.0)?;
+    let cond = args.condition()?;
     let server = load_db(db)?;
     let record = server
         .record(chip_id)
         .ok_or_else(|| format!("chip {chip_id} is not enrolled in {db}"))?;
     let n = record.n();
-    let cond = Condition::new(vdd, temp);
     let mut rng = StdRng::seed_from_u64(args.get("seed", 3)?);
     let outcome = if args.has("impostor") {
         let mut client = RandomResponder::new(99);
@@ -272,13 +320,13 @@ fn cmd_keygen(args: &Args) -> Result<(), String> {
     let db = args.require("db")?;
     let chip_seed: u64 = args.get("chip-seed", 0)?;
     let chip_id: u32 = args.get("chip-id", 0)?;
-    let bits: usize = args.get("bits", 128)?;
+    let bits = args.key_bits(128)?;
     let server = load_db(db)?;
     let record = server
         .record(chip_id)
         .ok_or_else(|| format!("chip {chip_id} is not enrolled in {db}"))?;
     let n = record.n();
-    let config = KeyGenConfig::new(bits, 3);
+    let config = KeyGenConfig::new(bits, KEY_REPETITION);
     let mut rng = StdRng::seed_from_u64(args.get("seed", 4)?);
     let selected = server
         .select_challenges(chip_id, config.response_bits(), 500_000_000, &mut rng)

@@ -154,6 +154,64 @@ fn malformed_invocations_fail_cleanly() {
             assert!(stderr.contains("error: --count"), "{command}: {stderr}");
         }
     }
+
+    // Key sizes that panicked (0 bits, a capacity overflow) or aborted (an
+    // exabyte allocation), and conditions that panicked inside the noise
+    // model, are refused the same way before the database is read.
+    for (command, flag, value) in [
+        ("keygen", "--bits", "0"),
+        ("keygen", "--bits", "18446744073709551615"),
+        ("keygen", "--bits", "6148914691236517206"),
+        ("authenticate", "--vdd", "0"),
+        ("authenticate", "--vdd", "nan"),
+        ("authenticate", "--temp", "-400"),
+        ("authenticate", "--temp", "inf"),
+    ] {
+        let out = xorpuf(&[command, "--db", "/nonexistent/nope.xpuf", flag, value]);
+        assert_eq!(out.status.code(), Some(1), "{command} {flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: {flag}")),
+            "{command} {flag} {value}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn enroll_with_a_bad_xor_width_keeps_the_database() {
+    let (path, db) = temp_db("bad-width");
+    assert!(
+        xorpuf(&["enroll", "--db", &db, "--chip-seed", "7", "--n", "2"])
+            .status
+            .success()
+    );
+    let before = std::fs::read(&path).expect("database written");
+    for n in ["0", "13"] {
+        let out = xorpuf(&[
+            "enroll",
+            "--db",
+            &db,
+            "--chip-seed",
+            "5",
+            "--chip-id",
+            "5",
+            "--n",
+            n,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "--n {n}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("XOR width"),
+            "--n {n}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    assert_eq!(std::fs::read(&path).expect("database kept"), before);
+    let out = xorpuf(&["inspect", "--db", &db]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("1 enrolled chip"), "{stdout}");
+    assert!(stdout.contains("2-input XOR"), "{stdout}");
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
